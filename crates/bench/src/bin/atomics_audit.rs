@@ -12,6 +12,13 @@
 //! per-module census of `Ordering::` usage by flavor, so ordering-strength
 //! creep shows up in CI logs.
 //!
+//! The same walk holds `unsafe` blocks to the crate's discipline: every
+//! `unsafe {` outside test modules needs a `// SAFETY:` comment, either
+//! trailing on its own line or in the comment block directly above the
+//! statement that contains it (attributes such as `#[cfg(..)]` may sit in
+//! between). A SAFETY comment covers one statement: it does not carry over
+//! a line that ends in `;`, `{` or `}`.
+//!
 //! Usage: `cargo run -p priosched-bench --bin atomics_audit` (run from
 //! anywhere inside the workspace; the core source dir is located relative
 //! to `CARGO_MANIFEST_DIR`).
@@ -37,22 +44,75 @@ fn core_src_dir() -> PathBuf {
         .join("src")
 }
 
-/// The auditable prefix of a source file: comment lines blanked, truncated
-/// at the first line that is exactly a `#[cfg(test)]` attribute.
+/// The non-test prefix of a source file: everything before the first line
+/// that is exactly a `#[cfg(test)]` attribute.
+fn non_test_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .take_while(|line| line.trim_start() != "#[cfg(test)]")
+        .collect()
+}
+
+/// The auditable prefix of a source file: comment lines blanked, test
+/// modules cut off (see [`non_test_lines`]).
 fn auditable_lines(text: &str) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        let trimmed = line.trim_start();
-        if trimmed == "#[cfg(test)]" {
-            break;
+    non_test_lines(text)
+        .into_iter()
+        .enumerate()
+        .map(|(idx, line)| {
+            let code = if line.trim_start().starts_with("//") {
+                String::new()
+            } else {
+                line.to_string()
+            };
+            (idx + 1, code)
+        })
+        .collect()
+}
+
+/// Whether the code part of `line` opens an `unsafe` block.
+fn opens_unsafe_block(line: &str) -> bool {
+    let code = line.split("//").next().unwrap_or("");
+    code.match_indices("unsafe").any(|(at, _)| {
+        let before = code[..at].chars().next_back();
+        let word_start = before.is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
+        word_start && code[at + "unsafe".len()..].trim_start().starts_with('{')
+    })
+}
+
+/// 1-based numbers of the non-test lines that open an `unsafe` block
+/// without a `// SAFETY:` comment on the line or directly above its
+/// statement.
+fn unsafe_without_safety(text: &str) -> Vec<usize> {
+    let lines = non_test_lines(text);
+    let justified = |idx: usize| {
+        if lines[idx].contains("// SAFETY:") {
+            return true;
         }
-        if trimmed.starts_with("//") {
-            out.push((idx + 1, String::new()));
-        } else {
-            out.push((idx + 1, line.to_string()));
+        let mut in_comment = false;
+        for above in lines[..idx].iter().rev().map(|l| l.trim()) {
+            if above.starts_with("// SAFETY:") {
+                return true;
+            }
+            if above.starts_with("//") {
+                in_comment = true;
+                continue;
+            }
+            // Code above the comment block, or the end of the previous
+            // statement: the search has left this statement.
+            let ends_statement =
+                above.ends_with(';') || above.ends_with('{') || above.ends_with('}');
+            if in_comment || ends_statement {
+                return false;
+            }
+            // An attribute or a blank line, or an earlier line of the same
+            // statement: keep walking up.
         }
-    }
-    out
+        false
+    };
+    (0..lines.len())
+        .filter(|&idx| opens_unsafe_block(lines[idx]) && !justified(idx))
+        .map(|idx| idx + 1)
+        .collect()
 }
 
 fn main() -> ExitCode {
@@ -68,6 +128,7 @@ fn main() -> ExitCode {
     assert!(!files.is_empty(), "no .rs files under {}", dir.display());
 
     let mut violations = Vec::new();
+    let mut unjustified = Vec::new();
     let mut census: BTreeMap<String, BTreeMap<&str, usize>> = BTreeMap::new();
 
     for path in &files {
@@ -85,6 +146,9 @@ fn main() -> ExitCode {
             }
         }
 
+        for lineno in unsafe_without_safety(&text) {
+            unjustified.push(format!("{name}:{lineno}"));
+        }
         if EXEMPT_FILES.contains(&name.as_str()) {
             continue;
         }
@@ -121,10 +185,11 @@ fn main() -> ExitCode {
         );
     }
 
+    let mut ok = true;
     if violations.is_empty() {
         println!("\nOK: all sync primitives route through crate::sync");
-        ExitCode::SUCCESS
     } else {
+        ok = false;
         println!(
             "\nFAIL: {} direct sync import(s) bypass the crate::sync facade",
             violations.len()
@@ -133,6 +198,62 @@ fn main() -> ExitCode {
             println!("  {v}");
         }
         println!("route them through crate::sync so loom models cover this code");
+    }
+    if unjustified.is_empty() {
+        println!("OK: every unsafe block carries a // SAFETY: comment");
+    } else {
+        ok = false;
+        println!(
+            "\nFAIL: {} unsafe block(s) without a // SAFETY: comment",
+            unjustified.len()
+        );
+        for u in &unjustified {
+            println!("  {u}");
+        }
+        println!("state why each block is sound in a // SAFETY: comment directly above it");
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finds_unsafe_blocks_only() {
+        assert!(opens_unsafe_block("    let x = unsafe { &*p };"));
+        assert!(opens_unsafe_block("unsafe {"));
+        assert!(!opens_unsafe_block("unsafe impl<T> Send for X<T> {}"));
+        assert!(!opens_unsafe_block("    unsafe fn f() {}"));
+        assert!(!opens_unsafe_block("    not_unsafe { }"));
+        assert!(!opens_unsafe_block("    // unsafe { in a comment }"));
+    }
+
+    #[test]
+    fn safety_comment_must_directly_precede() {
+        let ok = "// SAFETY: fine.\nlet a = unsafe { f() };\n";
+        assert!(unsafe_without_safety(ok).is_empty());
+        let block = "// SAFETY: a long\n// argument.\n#[cfg(x)]\nunsafe { f() };\n";
+        assert!(unsafe_without_safety(block).is_empty());
+        let trailing = "let a = unsafe { f() }; // SAFETY: fine.\n";
+        assert!(unsafe_without_safety(trailing).is_empty());
+        let stale = "// SAFETY: for the first.\nlet a = unsafe { f() };\nlet b = unsafe { g() };\n";
+        assert_eq!(unsafe_without_safety(stale), vec![3]);
+        let chained = "// SAFETY: fine.\nlet a = x\n    .cell\n    .with(|c| unsafe { g(c) });\n";
+        assert!(unsafe_without_safety(chained).is_empty());
+        let nested = "// SAFETY: for the loop?\nfor x in xs {\n    unsafe { f(x) };\n}\n";
+        assert_eq!(unsafe_without_safety(nested), vec![3]);
+        let plain = "// Not a justification.\nlet a = unsafe { f() };\n";
+        assert_eq!(unsafe_without_safety(plain), vec![2]);
+    }
+
+    #[test]
+    fn test_modules_are_exempt() {
+        let text = "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { unsafe { h() }; } }\n";
+        assert!(unsafe_without_safety(text).is_empty());
     }
 }

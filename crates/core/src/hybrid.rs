@@ -2,15 +2,15 @@
 //!
 //! Combines work-stealing-style locality with ρ-relaxed global ordering:
 //!
-//! * each place appends new tasks to a **local list** and to its local
-//!   priority queue; no synchronization happens while the per-place
+//! * each place appends new tasks to a **local list** and to its
+//!   place-local view; no synchronization happens while the per-place
 //!   relaxation budget lasts;
 //! * once a task's budget is exhausted (`remaining_k` reaches 0 — at most
 //!   `k` tasks were added after the task that set the budget), the whole
 //!   local list is appended to the **global list** with a single CAS and a
 //!   fresh local list is started (Listing 3);
-//! * `pop` ingests new global-list entries into the local priority queue and
-//!   takes its best reference via a tag CAS; when the queue runs dry it
+//! * `pop` ingests new global-list entries into the place-local view and
+//!   takes its best reference via a tag CAS; when the view runs dry it
 //!   **spies** a victim's local list — copying references without removing
 //!   anything (§4.2.2) — so up to `k` unpublished tasks *per place* may be
 //!   missed: ρ = P·k.
@@ -19,6 +19,47 @@
 //! recycled through the shared pool, and taken-ness is a tag CAS rather than
 //! a flag so recycling is ABA-safe; tags are derived from per-place indices,
 //! made globally unique as `local_index · P + place`.
+//!
+//! # The place-local view
+//!
+//! Listing 4's `processGlobalList` adds a reference to every live published
+//! task of every other place to the reader's one priority queue. References
+//! leave that queue only when they reach its top, and most of them are
+//! stale by then (another place took the task), so on a large SSSP run the
+//! queue holds on the order of 10⁵ references per place and nearly every
+//! pop also sifts out a stale duplicate — an O(log n) walk through
+//! megabytes of cache-missing heap. `LocalView` stores the same
+//! references in three parts instead:
+//!
+//! * a **small heap** holding this place's unpublished pushes and the
+//!   references it gathered by spying;
+//! * **sorted runs**: the live references one `process_global_list` call
+//!   ingests are sorted by `(prio, tag)` once, at ingest, and kept as one
+//!   run; `publish` freezes the small heap into a run of its own, which
+//!   keeps the small heap at about `k` entries. References too few to be
+//!   worth a run (`MIN_RUN`; tiny publishes, e.g. with `k = 0`) join or
+//!   stay in the small heap instead, and it is frozen whenever it reaches
+//!   `SMALL_MAX`;
+//! * a **head heap** with one entry per non-empty run, keyed by the run's
+//!   smallest reference.
+//!
+//! A pop takes the smaller of the small-heap top and the head-heap top.
+//! Taking from a run is a cursor step plus one replace-top sift of the head
+//! heap, and the item behind the run's new smallest reference is
+//! prefetched, so a stale reference costs a step through a sequential
+//! buffer rather than a sift through the whole reference set. The two
+//! heaps that are ever sifted hold about as many entries as there are runs
+//! plus the small heap: on the sparse SSSP benchmark (n = 200 000, P = 2,
+//! k = 512) at most ~1.3k, where the single queue held ~150k on average.
+//! Runs are gathered in one reused buffer and stored as exact-size
+//! copies, which are freed as soon as they are exhausted, so the view
+//! holds no more memory than the references it contains.
+//!
+//! The selection rule is the same as with one queue: every pop considers
+//! exactly the references that queue would hold and takes the live one
+//! with the smallest `(prio, tag)`. ρ = P·k, exactly-once takes, spying and
+//! the re-ingest of a previous incarnation's segments do not depend on how
+//! the references are stored, and are unchanged.
 
 use crate::item::{Item, ItemCache, ItemPool, ItemRef};
 use crate::pool::{PoolHandle, TaskPool};
@@ -40,6 +81,151 @@ const NO_VICTIM: usize = usize::MAX;
 
 /// Owner id of the global-list sentinel segment.
 const SENTINEL_OWNER: u32 = u32::MAX;
+
+/// Fewer references than this are not worth a run of their own: a short
+/// ingest joins the small heap instead, and `publish` leaves a small heap
+/// this small in place. Tiny publishes (`k = 0` publishes every push)
+/// would otherwise make one run per task.
+const MIN_RUN: usize = 32;
+
+/// The small heap is frozen into a run whenever it reaches this size, even
+/// between publishes, so tiny ingests cannot grow it without bound.
+const SMALL_MAX: usize = 2 * HSEGMENT_LEN;
+
+/// Head-heap entry: a run's smallest reference's key and the run's index.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RunHead {
+    prio: u64,
+    tag: u64,
+    run: u32,
+}
+
+/// Hints the CPU to load `item` into cache ahead of its tag check.
+#[inline(always)]
+fn prefetch_item<T>(item: *const Item<T>) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint; it never faults or writes,
+    // whatever the address.
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(item.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = item;
+}
+
+/// One place's references to tasks: a small heap plus sorted runs merged
+/// through a head heap (see the module docs). `pop` returns references in
+/// exactly the `(prio, tag)` order one heap of all of them would.
+struct LocalView<T> {
+    /// Unpublished own pushes and spied references.
+    small: BinaryHeap<ItemRef<T>>,
+    /// One entry per non-empty run, keyed by the run's smallest reference.
+    heads: BinaryHeap<RunHead>,
+    /// Sorted runs, largest first, so a run's smallest reference is its
+    /// `last()`; indexed by [`RunHead::run`]. Exhausted runs are freed and
+    /// leave an empty slot.
+    runs: Vec<Vec<ItemRef<T>>>,
+    /// Indices of empty slots in `runs`.
+    free: Vec<u32>,
+    /// The next run, while it is being gathered; keeps its capacity, so
+    /// building a run allocates only the run's exact-size copy.
+    pending: Vec<ItemRef<T>>,
+}
+
+impl<T> LocalView<T> {
+    fn new() -> Self {
+        LocalView {
+            small: BinaryHeap::with_capacity(256),
+            heads: BinaryHeap::new(),
+            runs: Vec::new(),
+            free: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Adds the ingested references in `pending` as a run, or to the
+    /// small heap when there are too few of them to be worth a run.
+    fn add_pending(&mut self) {
+        if self.pending.len() >= MIN_RUN {
+            self.seal_run();
+            return;
+        }
+        self.small.extend_batch(self.pending.drain(..));
+        if self.small.len() >= SMALL_MAX {
+            self.freeze(&mut Vec::new());
+        }
+    }
+
+    /// Sorts the (non-empty) `pending` into a new run, leaving `pending`
+    /// empty. Runs are exact-size copies, so a run never holds more memory
+    /// than the references it was built with.
+    fn seal_run(&mut self) {
+        self.pending.sort_unstable_by(|a, b| b.cmp(a));
+        let run = self.pending.to_vec();
+        self.pending.clear();
+        let top = &run[run.len() - 1];
+        prefetch_item(top.ptr);
+        let (prio, tag) = (top.prio, top.tag);
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.runs[idx as usize] = run;
+                idx
+            }
+            None => {
+                self.runs.push(run);
+                (self.runs.len() - 1) as u32
+            }
+        };
+        self.heads.push(RunHead {
+            prio,
+            tag,
+            run: idx,
+        });
+    }
+
+    /// Turns the small heap and `staged` into a run, or only moves
+    /// `staged` into the small heap while that is below [`MIN_RUN`].
+    fn freeze(&mut self, staged: &mut Vec<ItemRef<T>>) {
+        if self.small.len() + staged.len() < MIN_RUN {
+            self.small.extend_batch(staged.drain(..));
+            return;
+        }
+        self.pending.extend_from_slice(self.small.as_slice());
+        self.small.clear();
+        self.pending.append(staged);
+        self.seal_run();
+    }
+
+    /// Removes and returns the smallest reference.
+    fn pop(&mut self) -> Option<ItemRef<T>> {
+        let head = match (self.small.peek(), self.heads.peek()) {
+            (_, None) => return self.small.pop(),
+            (Some(s), Some(h)) if (s.prio, s.tag) <= (h.prio, h.tag) => {
+                return self.small.pop();
+            }
+            (_, Some(&h)) => h,
+        };
+        let run = &mut self.runs[head.run as usize];
+        let r = run.pop().expect("a head entry names a non-empty run");
+        match run.last() {
+            Some(next) => {
+                prefetch_item(next.ptr);
+                let (prio, tag) = (next.prio, next.tag);
+                self.heads.replace_top(RunHead {
+                    prio,
+                    tag,
+                    run: head.run,
+                });
+            }
+            None => {
+                self.heads.pop();
+                *run = Vec::new();
+                self.free.push(head.run);
+            }
+        }
+        Some(r)
+    }
+}
 
 /// A segment of a (local or global) task list.
 struct HSeg<T> {
@@ -157,6 +343,7 @@ impl<T: Send + 'static> HybridKPriority<T> {
             if first.is_null() {
                 return freed;
             }
+            // SAFETY: as above — a linked global segment, quiescent.
             let seg = unsafe { &*first };
             let len = seg.len.load(Ordering::Acquire);
             let nplaces = self.nplaces as u64;
@@ -205,7 +392,8 @@ impl<T: Send + 'static> TaskPool<T> for HybridKPriority<T> {
             tail_fill: 0,
             next_local_idx: 0,
             remaining_k: u64::MAX,
-            pq: BinaryHeap::with_capacity(256),
+            view: LocalView::new(),
+            staged: Vec::new(),
             cache: ItemCache::new(),
             g_seg: self.global_head.load(Ordering::Acquire),
             g_idx: 0,
@@ -257,7 +445,11 @@ pub struct HybridHandle<T: Send + 'static> {
     next_local_idx: u64,
     /// Publication budget (Listing 3); `u64::MAX` plays the role of ∞.
     remaining_k: u64,
-    pq: BinaryHeap<ItemRef<T>>,
+    view: LocalView<T>,
+    /// References to this place's newest pushes that have not reached the
+    /// view yet: a batch's refs, moved into the view in one repair (or
+    /// frozen into a run when the batch publishes mid-way).
+    staged: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
     /// the shared free list is touched once per batch, not per task.
     cache: ItemCache<T>,
@@ -338,10 +530,12 @@ impl<T: Send + 'static> HybridHandle<T> {
         self.chain_tail = ptr::null_mut();
         self.tail_fill = 0;
         self.stats.publishes += 1;
+        self.view.freeze(&mut self.staged);
     }
 
-    /// Adds references to unread global-list items to the local priority
-    /// queue (Listing 3 `processGlobalList`).
+    /// Adds references to unread global-list items to the place-local view
+    /// (Listing 3 `processGlobalList`); the references one call gathers
+    /// form one run.
     fn process_global_list(&mut self) {
         loop {
             // SAFETY: global segments live until structure drop.
@@ -356,7 +550,7 @@ impl<T: Send + 'static> HybridHandle<T> {
                     let item = unsafe { &*ptr };
                     let tag = seg.base_tag + idx as u64 * self.nplaces();
                     if item.is_live_at(tag) {
-                        self.pq.push(ItemRef {
+                        self.view.pending.push(ItemRef {
                             prio: item.prio.load(Ordering::Relaxed),
                             tag,
                             ptr,
@@ -368,14 +562,15 @@ impl<T: Send + 'static> HybridHandle<T> {
             self.g_idx = len;
             let next = seg.next.load(Ordering::Acquire);
             if next.is_null() {
-                return;
+                break;
             }
             self.g_seg = next;
             self.g_idx = 0;
         }
+        self.view.add_pending();
     }
 
-    /// Copies references from `victim`'s local list into our queue without
+    /// Copies references from `victim`'s local list into our view without
     /// removing anything (§4.2.2 spying). Returns the number of references
     /// gathered.
     fn spy_on(&mut self, victim: usize) -> u64 {
@@ -400,7 +595,7 @@ impl<T: Send + 'static> HybridHandle<T> {
                 let item = unsafe { &*ptr };
                 let tag = seg.base_tag + idx as u64 * self.nplaces();
                 if item.place.load(Ordering::Relaxed) != self.place && item.is_live_at(tag) {
-                    self.pq.push(ItemRef {
+                    self.view.small.push(ItemRef {
                         prio: item.prio.load(Ordering::Relaxed),
                         tag,
                         ptr,
@@ -414,13 +609,14 @@ impl<T: Send + 'static> HybridHandle<T> {
         got
     }
 
-    /// Creates, tags and appends one task to the local list, charging the
-    /// publication budget and publishing when it is exhausted (Listing 3
-    /// minus the local-queue insertion, which batch callers defer).
-    fn insert_local(&mut self, prio: u64, k: u64, task: T) -> ItemRef<T> {
+    /// Creates, tags and appends one task to the local list and stages its
+    /// reference, charging the publication budget and publishing when it
+    /// is exhausted (Listing 3; the caller moves `staged` into the view).
+    fn insert_local(&mut self, prio: u64, k: u64, task: T) {
         let ptr = self.cache.acquire(&self.shared.pool);
         // SAFETY: freshly acquired item, ours until published below.
         let item = unsafe { &*ptr };
+        // SAFETY: as above — no other thread can see the item yet.
         unsafe { item.init(self.place, k as u32, prio, task) };
         let tag = self.next_local_idx * self.nplaces() + self.place as u64;
         self.next_local_idx += 1;
@@ -428,13 +624,13 @@ impl<T: Send + 'static> HybridHandle<T> {
         // observes this tag (spies and global readers revalidate via CAS).
         item.tag.store(tag, Ordering::Release);
         self.append_local(ptr, tag);
+        self.staged.push(ItemRef { prio, tag, ptr });
         self.remaining_k = self.remaining_k.saturating_sub(1).min(k);
         if self.remaining_k == 0 {
             self.publish();
             self.remaining_k = u64::MAX;
         }
         self.stats.pushes += 1;
-        ItemRef { prio, tag, ptr }
     }
 
     /// Victim selection: last successful victim first, chasing each empty
@@ -477,15 +673,18 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
     /// immediately.
     fn push(&mut self, prio: u64, k: usize, task: T) {
         let k = (k as u64).min(u32::MAX as u64);
-        let r = self.insert_local(prio, k, task);
-        self.pq.push(r);
+        self.insert_local(prio, k, task);
+        // Empty when the push published: `publish` moved its ref on.
+        if let Some(r) = self.staged.pop() {
+            self.view.small.push(r);
+        }
     }
 
     /// Listing 4.
     fn pop_entry(&mut self) -> Option<(u64, T)> {
         loop {
             self.process_global_list();
-            while let Some(r) = self.pq.pop() {
+            while let Some(r) = self.view.pop() {
                 // SAFETY: pool-owned item.
                 let item = unsafe { &*r.ptr };
                 if item.is_live_at(r.tag) {
@@ -499,7 +698,7 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
                 self.stats.stale_refs += 1;
                 self.process_global_list();
             }
-            // Queue empty after reading the whole global list: spy.
+            // View empty after reading the whole global list: spy.
             if !self.spy() {
                 self.stats.failed_pops += 1;
                 return None;
@@ -512,7 +711,8 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
     /// publishes at exactly the points the equivalent scalar pushes would
     /// (preserving ρ = P·k — at most `k` tasks of this place ever sit
     /// unpublished, batch or no batch), and a single bulk repair of the
-    /// local queue at the end instead of one sift per task.
+    /// small heap at the end instead of one sift per task. Refs staged
+    /// before a mid-batch publish are frozen into that publish's run.
     fn push_batch(&mut self, k: usize, batch: &mut Vec<(u64, T)>) {
         if batch.is_empty() {
             return;
@@ -521,11 +721,10 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
         let k = (k as u64).min(u32::MAX as u64);
         // One shared-free-list refill round for the whole batch.
         self.cache.prefetch(&self.shared.pool, n);
-        let mut refs = Vec::with_capacity(n);
         for (prio, task) in batch.drain(..) {
-            refs.push(self.insert_local(prio, k, task));
+            self.insert_local(prio, k, task);
         }
-        self.pq.extend_batch(refs);
+        self.view.small.extend_batch(self.staged.drain(..));
     }
 
     /// Batch pop (Listing 4 amortized): one global-list read serves up to
@@ -540,7 +739,7 @@ impl<T: Send + 'static> PoolHandle<T> for HybridHandle<T> {
         loop {
             self.process_global_list();
             while got < max {
-                let Some(r) = self.pq.pop() else { break };
+                let Some(r) = self.view.pop() else { break };
                 // SAFETY: pool-owned item.
                 let item = unsafe { &*r.ptr };
                 if item.is_live_at(r.tag) {
@@ -753,6 +952,176 @@ mod tests {
             got.push(t);
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// A re-created handle finds its previous incarnation's published
+    /// tasks as a sorted run of the new view, not as small-heap entries,
+    /// and still pops them in exact priority order.
+    #[test]
+    fn recreated_handle_recovers_old_tasks_through_runs() {
+        let p = pool(1);
+        let n = 300u64;
+        {
+            let mut h = p.handle(0);
+            for i in 0..n {
+                h.push((i * 37) % 101, 0, i);
+            }
+        }
+        let mut h = p.handle(0);
+        let first = h.pop().expect("old tasks are recoverable");
+        assert!(h.view.small.is_empty(), "old tasks arrive as a run");
+        assert_eq!(h.view.heads.len(), 1);
+        let mut got = vec![first];
+        while let Some(t) = h.pop() {
+            got.push(t);
+        }
+        let mut expect: Vec<u64> = (0..n).collect();
+        expect.sort_by_key(|&i| ((i * 37) % 101, i));
+        assert_eq!(got, expect);
+        assert!(h.view.runs.iter().all(Vec::is_empty), "runs are drained");
+    }
+
+    /// One place's pops interleave small-heap entries (pushes after the
+    /// publish) with a frozen run (pushes before it) in exact
+    /// `(prio, tag)` order; with one place tags follow push order, so
+    /// equal priorities come out first-pushed first.
+    #[test]
+    fn pops_merge_small_heap_and_runs_across_publish() {
+        let p = pool(1);
+        let mut h = p.handle(0);
+        let k = 100usize;
+        let prio = |i: u64| (i * 7919) % 50;
+        // The first push sets the budget to k; push k + 1 publishes.
+        for i in 0..=k as u64 {
+            h.push(prio(i), k, i);
+        }
+        assert_eq!(h.stats().publishes, 1);
+        assert!(h.view.small.is_empty(), "publish froze the small heap");
+        assert_eq!(h.view.heads.len(), 1);
+        for i in k as u64 + 1..k as u64 + 51 {
+            h.push(prio(i), usize::MAX, i);
+        }
+        assert_eq!(h.view.small.len(), 50);
+        let mut got = Vec::new();
+        while let Some(t) = h.pop() {
+            got.push(t);
+        }
+        let mut expect: Vec<u64> = (0..k as u64 + 51).collect();
+        expect.sort_by_key(|&i| (prio(i), i));
+        assert_eq!(got, expect);
+    }
+
+    /// Random pushes and pops on one place, with a `k` that publishes (and
+    /// freezes runs) often: every pop returns the exact minimum of the
+    /// live tasks, so the merged view never reorders anything.
+    #[test]
+    fn merged_view_matches_exact_min_oracle() {
+        let p = pool(1);
+        let mut h = p.handle(0);
+        let mut live = std::collections::BTreeSet::new();
+        let mut rng = XorShift64::new(11);
+        let mut max_runs = 0;
+        for i in 0..20_000u64 {
+            if rng.below(5) < 3 || live.is_empty() {
+                let prio = rng.below(500);
+                h.push(prio, 80, i);
+                live.insert((prio, i));
+            } else {
+                let want = live.pop_first().map(|(_, i)| i);
+                assert_eq!(h.pop(), want);
+            }
+            max_runs = max_runs.max(h.view.heads.len());
+        }
+        assert!(max_runs > 1, "the test must exercise several runs");
+        while let Some((_, want)) = live.pop_first() {
+            assert_eq!(h.pop(), Some(want));
+        }
+        assert_eq!(h.pop(), None);
+    }
+
+    /// Two places, `k = 0`: every push of place 0 is published at once and
+    /// place 1 never pushes, so place 1 sees every live task and must pop
+    /// the exact minimum. Place 1 ingests everything pushed since its last
+    /// pop; short bursts join its small heap (until it is frozen at
+    /// `SMALL_MAX`), long ones become runs.
+    #[test]
+    fn ingested_runs_and_small_heap_match_exact_min_oracle() {
+        let p = pool(2);
+        let mut h0 = p.handle(0);
+        let mut h1 = p.handle(1);
+        let mut live = std::collections::BTreeSet::new();
+        let mut rng = XorShift64::new(23);
+        let (mut max_runs, mut max_small) = (0, 0);
+        let mut next = 0u64;
+        for _ in 0..2_000 {
+            let burst = match rng.below(8) {
+                0 => 16 + rng.below(48),
+                1..=4 => 1 + rng.below(12),
+                _ => 0,
+            };
+            for _ in 0..burst {
+                let prio = rng.below(1_000);
+                h0.push(prio, 0, next);
+                // Place 0's tags are 2·i, so (prio, i) orders as (prio, tag).
+                live.insert((prio, next));
+                next += 1;
+            }
+            if burst == 0 {
+                for _ in 0..1 + rng.below(6) {
+                    let want = live.pop_first().map(|(_, i)| i);
+                    assert_eq!(h1.pop(), want);
+                }
+            }
+            max_runs = max_runs.max(h1.view.heads.len());
+            max_small = max_small.max(h1.view.small.len());
+        }
+        assert!(max_runs > 1, "the test must exercise several runs");
+        assert!(
+            max_small > SMALL_MAX / 2,
+            "the test must fill the small heap"
+        );
+        assert!(
+            max_small < SMALL_MAX,
+            "the small heap is frozen at SMALL_MAX"
+        );
+        while let Some((_, want)) = live.pop_first() {
+            assert_eq!(h1.pop(), Some(want));
+        }
+        assert_eq!(h1.pop(), None);
+    }
+
+    /// Spied references frozen into a run by the spy's own publish are
+    /// still delivered exactly once between the owner and the spy.
+    #[test]
+    fn spied_refs_frozen_into_run_are_delivered_once() {
+        let p = pool(2);
+        let mut h0 = p.handle(0);
+        let mut h1 = p.handle(1);
+        let n = 100u64;
+        for i in 0..n {
+            h0.push(i, usize::MAX, i); // never published
+        }
+        assert_eq!(h1.pop(), Some(0), "place 1 spies place 0");
+        assert_eq!(h1.view.small.len(), n as usize - 1);
+        // k = 0: place 1's first push publishes and freezes the spied refs.
+        h1.push(1_000, 0, 1_000);
+        assert_eq!(h1.stats().publishes, 1);
+        assert!(h1.view.small.is_empty());
+        assert_eq!(h1.view.heads.len(), 1);
+        let mut got = vec![0];
+        loop {
+            let a = h0.pop();
+            let b = h1.pop();
+            got.extend(a);
+            got.extend(b);
+            if a.is_none() && b.is_none() {
+                break;
+            }
+        }
+        got.sort();
+        let mut expect: Vec<u64> = (0..n).collect();
+        expect.push(1_000);
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -80,7 +80,7 @@
 //! | event                                  | wakes |
 //! |----------------------------------------|-------|
 //! | submission into lane `l`               | worker `l` (targeted) |
-//! | lane drain transferred `n > 0` tasks   | blocked producers (space freed) + idle workers (tasks became stealable/spyable) |
+//! | lane drain transferred `n > 0` tasks   | blocked producers (space freed) + idle workers (tasks became stealable/spyable); control slot if `pending` already reads zero |
 //! | in-pool spawn (streamed runs)          | idle workers (gated broadcast) |
 //! | pending counter reaches zero           | control slot (join waiters); all workers if also quiescent |
 //! | producer refcount reaches zero         | everything (workers re-check quiescence) |
@@ -101,7 +101,7 @@
 
 use crate::park::Parker;
 use crate::pool::PoolHandle;
-use crate::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use crate::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
@@ -301,6 +301,18 @@ impl<T: Send> IngressShared<T> {
             handle.push_batch(prev_k, kbatch);
         }
         self.queued.fetch_sub(n, Ordering::AcqRel);
+        // Join waiters wait for `queued == 0 && pending == 0`. The tasks
+        // were poppable from the push on, so another place may already
+        // have run all of them: its pending → 0 wake then saw `queued > 0`
+        // and woke nobody, and this decrement is the event that completes
+        // the drain. The fence pairs with the waiter's registration fence
+        // (`ParkSlot::prepare`): either the waiter's re-check sees the
+        // decrement, or this load of `pending` sees every decrement that
+        // came before its re-check, and `wake_if_waiting` sees it waiting.
+        fence(Ordering::SeqCst);
+        if pending.load(Ordering::Relaxed) == 0 {
+            self.parker.control().wake_if_waiting();
+        }
         // The lane has room again (only bounded lanes can have producers
         // parked on the space slot) and the pool has new (possibly
         // stealable) tasks.

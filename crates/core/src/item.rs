@@ -376,13 +376,14 @@ impl<T: Send> ItemPool<T> {
         let (Some(&first), Some(&last)) = (items.first(), items.last()) else {
             return;
         };
-        // SAFETY (all derefs below): caller owns the items exclusively;
-        // pool memory is immortal until drop.
         for w in items.windows(2) {
+            // SAFETY: the caller owns the items exclusively; pool memory
+            // is immortal until drop.
             unsafe {
                 (*w[0]).next_free.store((*w[1]).index, Ordering::Relaxed);
             }
         }
+        // SAFETY: as above.
         let (first, last) = unsafe { ((*first).index, (*last).index) };
         self.push_chain(first, last);
     }

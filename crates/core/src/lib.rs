@@ -24,6 +24,20 @@
 //! [`scheduler::Scheduler`] (places, help-first spawning, termination
 //! detection, finish regions — §2 of the paper).
 //!
+//! The hybrid stores each place's references — Listing 4's place-local
+//! priority queue, which holds a reference to every live published task
+//! of every other place — as a **place-local view**: a small heap of the
+//! place's own unpublished pushes and spied references, plus **sorted
+//! runs** (each ingested batch of global-list references is sorted by
+//! `(prio, tag)` once, at ingest; `publish` freezes the small heap into a
+//! run of its own) merged through a **head heap** with one entry per run.
+//! A pop takes the smaller of the small-heap and head-heap tops, so a
+//! stale reference costs a cursor step instead of a sift through one heap
+//! of every published reference; the heaps that are ever sifted shrink
+//! from ~150k entries to ≤ 2k on a 200k-node SSSP. Pop selection (the live
+//! reference with the smallest `(prio, tag)`) and ρ = P·k are unchanged;
+//! see the [`hybrid`] module docs.
+//!
 //! # Priorities
 //!
 //! Priorities are `u64` values, **smaller is higher priority**, matching the
@@ -298,6 +312,7 @@
 //! | The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
 //! | The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
+//! | A join waiter is woken by the lane drain's `queued` decrement when another place already ran (and counted down) the drained tasks — the drain, not the pending → 0 event, completes `queued == 0 && pending == 0` ([`ingest`] wake-event table) | `models::join_wakes_when_sibling_finishes_drained_task` |
 //!
 //! Two **mutation self-checks** validate the checker itself: building with
 //! `--cfg loom_mutate_park_fence` (drops the `wake_if_waiting` fence) or

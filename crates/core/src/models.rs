@@ -27,7 +27,7 @@
 //! [`ParkSlot::wake_if_waiting`]: crate::park::ParkSlot::wake_if_waiting
 
 use crate::combine::{CombineOp, CombineStats, Combiner};
-use crate::ingest::IngressLanes;
+use crate::ingest::{IngressLanes, IngressShared};
 use crate::item::ItemPool;
 use crate::multiqueue::RelaxedMultiQueue;
 use crate::park::ParkSlot;
@@ -163,6 +163,7 @@ pub fn free_list_no_aba_double_pop() {
                 unsafe { (*p).init(0, 0, 9, 99) };
                 // SAFETY: still exclusive; publish under position tag 7.
                 unsafe { (*p).tag.store(7, Ordering::Release) };
+                // SAFETY: the item is pool-owned and live under tag 7.
                 let taken = unsafe { (*p).try_take(7) }.expect("sole owner wins the take");
                 assert_eq!(taken, 99);
                 // SAFETY: tag is TAKEN and the payload was moved out.
@@ -337,6 +338,80 @@ pub fn ingress_counters_never_hide_a_task() {
         assert_eq!(got, 1, "the submitted task must drain exactly once");
         assert_eq!(pending.load(Ordering::Acquire), 1);
         assert!(shared.quiescent());
+    });
+}
+
+/// A pool handle whose push hands the task to a sibling place at once:
+/// the spawned thread "pops and finishes" it (the scheduler's
+/// `finish_one`: pending down, and the control wake when that reaches
+/// zero) while `drain_into` is still running.
+struct SiblingFinishes {
+    shared: Arc<IngressShared<u64>>,
+    pending: Arc<AtomicU64>,
+    finisher: Option<thread::JoinHandle<()>>,
+}
+
+impl PoolHandle<u64> for SiblingFinishes {
+    fn push(&mut self, _prio: u64, _k: usize, _task: u64) {
+        let (shared, pending) = (Arc::clone(&self.shared), Arc::clone(&self.pending));
+        self.finisher = Some(thread::spawn(move || {
+            if pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                shared.parker().control().wake_if_waiting();
+            }
+        }));
+    }
+    fn pop_entry(&mut self) -> Option<(u64, u64)> {
+        None
+    }
+    fn stats(&self) -> PlaceStats {
+        PlaceStats::default()
+    }
+}
+
+/// (g) Join versus a drain whose task a sibling place finishes first.
+///
+/// `PoolService::join` waits for `queued == 0 && pending == 0`. The
+/// drained task is poppable from its push on, so another place may run
+/// it before `drain_into` lowers `queued`: that place's pending → 0 wake
+/// finds `queued > 0` and nobody waiting, the joiner then registers and
+/// parks on `queued > 0`, and only the `queued` decrement completes the
+/// drain. `drain_into` must wake the control slot for it; without that
+/// wake the joiner parks forever (a detected deadlock here).
+pub fn join_wakes_when_sibling_finishes_drained_task() {
+    loom::model(|| {
+        let lanes: IngressLanes<u64> = IngressLanes::new(1);
+        lanes.handle().submit(7, 4, 7).unwrap();
+        let shared = Arc::clone(lanes.shared());
+        let pending = Arc::new(AtomicU64::new(0));
+
+        let drainer = {
+            let (shared, pending) = (Arc::clone(&shared), Arc::clone(&pending));
+            thread::spawn(move || {
+                let mut handle = SiblingFinishes {
+                    shared: Arc::clone(&shared),
+                    pending: Arc::clone(&pending),
+                    finisher: None,
+                };
+                let (mut scratch, mut kbatch) = (Vec::new(), Vec::new());
+                let got = shared.drain_into(0, &mut handle, &pending, &mut scratch, &mut kbatch);
+                assert_eq!(got, 1, "the only drainer finds the submitted task");
+                handle.finisher.take().unwrap().join().unwrap();
+            })
+        };
+
+        // `PoolService::join`'s register → re-check → park loop.
+        let drained = || shared.queued_count() == 0 && pending.load(Ordering::Acquire) == 0;
+        let control = shared.parker().control();
+        while !drained() {
+            let token = control.prepare();
+            if drained() {
+                control.cancel();
+                break;
+            }
+            control.park(token);
+        }
+        drainer.join().unwrap();
+        assert_eq!(pending.load(Ordering::Acquire), 0);
     });
 }
 

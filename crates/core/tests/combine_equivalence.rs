@@ -260,12 +260,15 @@ fn stress_handoff_no_request_lost_or_double_executed() {
 }
 
 /// Op for driving a raw `Combiner` over a `u64` accumulator: `Add` sums,
-/// `Block` holds the combiner inside an `apply` until the gate opens —
-/// long enough that any concurrent loser exhausts its spin budget and
-/// parks.
+/// `Block` raises `entered` and then holds the combiner inside an `apply`
+/// until the gate opens — long enough that any concurrent loser exhausts
+/// its spin budget and parks.
 enum GateOp {
     Add(u64),
-    Block(Arc<AtomicBool>),
+    Block {
+        entered: Arc<AtomicBool>,
+        gate: Arc<AtomicBool>,
+    },
 }
 
 impl CombineOp<u64> for GateOp {
@@ -276,7 +279,8 @@ impl CombineOp<u64> for GateOp {
                 *shared += v;
                 *shared
             }
-            GateOp::Block(gate) => {
+            GateOp::Block { entered, gate } => {
+                entered.store(true, Ordering::Release);
                 while !gate.load(Ordering::Acquire) {
                     std::hint::spin_loop();
                 }
@@ -294,23 +298,36 @@ impl CombineOp<u64> for GateOp {
 fn parked_loser_is_woken_when_response_is_written() {
     let combiner: Arc<Combiner<u64, GateOp>> = Arc::new(Combiner::new(0, 2));
     let gate = Arc::new(AtomicBool::new(false));
+    let entered = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
         let c = Arc::clone(&combiner);
-        let g = Arc::clone(&gate);
+        let op = GateOp::Block {
+            entered: Arc::clone(&entered),
+            gate: Arc::clone(&gate),
+        };
         let blocker = s.spawn(move || {
             let mut stats = CombineStats::default();
-            c.execute(0, GateOp::Block(g), &mut stats)
+            c.execute(0, op, &mut stats)
         });
         let c = Arc::clone(&combiner);
+        let e = Arc::clone(&entered);
+        let st = Arc::clone(&started);
         let loser = s.spawn(move || {
-            // Give the blocker time to take the lock first.
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            // The blocker holds the lock before the loser arrives.
+            while !e.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            st.store(true, Ordering::Release);
             let mut stats = CombineStats::default();
             let resp = c.execute(1, GateOp::Add(42), &mut stats);
             (resp, stats.parks)
         });
-        // Both threads are now committed: the blocker inside apply(), the
-        // loser published and (after its spin budget) parked.
+        // The blocker is inside apply() and the loser is on its way in;
+        // give the loser time to publish and (after its spin budget) park.
+        while !started.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         std::thread::sleep(std::time::Duration::from_millis(100));
         gate.store(true, Ordering::Release);
         let (resp, parks) = loser.join().expect("loser thread");

@@ -55,6 +55,11 @@ mod checked {
     fn structural_pop_vs_raid_exactly_once() {
         models::structural_pop_vs_raid_exactly_once();
     }
+
+    #[test]
+    fn join_wakes_when_sibling_finishes_drained_task() {
+        models::join_wakes_when_sibling_finishes_drained_task();
+    }
 }
 
 /// Self-check: with the `wake_if_waiting` fence removed, the parker model

@@ -14,6 +14,7 @@
 //! 3. **single-place strictness** — with one place, pops come out in exact
 //!    priority order for every structure.
 
+use priosched_core::hybrid::HSEGMENT_LEN;
 use priosched_core::{
     CentralizedKPriority, HybridKPriority, PoolHandle, PriorityWorkStealing, RelaxedMultiQueue,
     StructuralKPriority, TaskPool,
@@ -45,6 +46,19 @@ fn ops_strategy(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
         ],
         0..max_len,
     )
+}
+
+/// Hybrid `k` values at the publication edges — publish on every push,
+/// after one more push, when a segment fills, and never (drop only) —
+/// plus the small uniform k = 4 these proptests used before.
+fn hybrid_k() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0),
+        Just(1),
+        Just(4),
+        Just(HSEGMENT_LEN),
+        Just(usize::MAX)
+    ]
 }
 
 /// A live entry: payload, global push sequence, pushing place, and the
@@ -234,8 +248,8 @@ proptest! {
     }
 
     #[test]
-    fn hybrid_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(HybridKPriority::new(2)), &ops, 4, None)?;
+    fn hybrid_conserves_tasks(ops in ops_strategy(150), k in hybrid_k()) {
+        run_model_check(Arc::new(HybridKPriority::new(2)), &ops, k, None)?;
     }
 
     #[test]
@@ -266,15 +280,15 @@ proptest! {
     }
 
     /// Hybrid: "pop operations … are allowed to ignore the last k items
-    /// added by each thread" (§2.2) — per-place scope, with uniform k = 4
+    /// added by each thread" (§2.2) — per-place scope, with uniform k
     /// (the publish budget admits at most k unpublished successors).
     #[test]
-    fn hybrid_relaxation_oracle(ops in ops_strategy(200)) {
+    fn hybrid_relaxation_oracle(ops in ops_strategy(200), k in hybrid_k()) {
         run_model_check(
             Arc::new(HybridKPriority::new(2)),
             &ops,
-            4,
-            Some((RelaxationScope::PerPlace, 4)),
+            k,
+            Some((RelaxationScope::PerPlace, k as u64)),
         )?;
     }
 

@@ -81,6 +81,24 @@ impl<T: Ord> BinaryHeap<T> {
         }
     }
 
+    /// Replaces the minimum with `item` and restores the invariant with a
+    /// single sift-down, returning the old minimum — one pass instead of
+    /// the two a `pop` followed by a `push` costs. On an empty heap `item`
+    /// is simply pushed and `None` returned.
+    pub fn replace_top(&mut self, item: T) -> Option<T> {
+        match self.data.first_mut() {
+            None => {
+                self.data.push(item);
+                None
+            }
+            Some(top) => {
+                let old = std::mem::replace(top, item);
+                self.sift_down(0);
+                Some(old)
+            }
+        }
+    }
+
     /// Checks the heap invariant; used by tests and `debug_assert!`s.
     pub fn is_valid_heap(&self) -> bool {
         (1..self.data.len()).all(|i| self.data[(i - 1) / 2] <= self.data[i])

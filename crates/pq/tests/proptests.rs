@@ -121,6 +121,39 @@ proptest! {
         run_ops::<PairingHeap<i32>>(&ops);
     }
 
+    /// `replace_top` ≡ "pop the minimum, then push" against a sorted-`Vec`
+    /// reference, including on the empty heap (where it is a plain push
+    /// returning `None`). Interleaved pops drain the heap to empty often.
+    #[test]
+    fn binary_heap_replace_top_matches_sorted_vec(
+        init in proptest::collection::vec(any::<i32>(), 0..24),
+        ops in proptest::collection::vec(
+            prop_oneof![3 => any::<i32>().prop_map(Some), 2 => Just(None)],
+            0..80,
+        ),
+    ) {
+        let mut h: BinaryHeap<i32> = init.iter().copied().collect();
+        let mut reference = init.clone();
+        reference.sort();
+        for op in ops {
+            match op {
+                Some(x) => {
+                    let expect = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(h.replace_top(x), expect);
+                    let at = reference.partition_point(|&y| y <= x);
+                    reference.insert(at, x);
+                }
+                None => {
+                    let expect = (!reference.is_empty()).then(|| reference.remove(0));
+                    prop_assert_eq!(h.pop(), expect);
+                }
+            }
+            prop_assert!(h.is_valid_heap());
+            prop_assert_eq!(h.len(), reference.len());
+            prop_assert_eq!(h.peek().copied(), reference.first().copied());
+        }
+    }
+
     #[test]
     fn binary_heap_invariant_holds(items in proptest::collection::vec(any::<i32>(), 0..200)) {
         let mut h = BinaryHeap::new();

@@ -20,6 +20,24 @@ pub struct SsspTask {
     pub dist_bits: u64,
 }
 
+/// Counter slots; place `p` counts into slot `p % COUNTER_SLOTS`. Places
+/// beyond it share slots, which keeps the sums exact and only costs them
+/// some cache-line sharing.
+const COUNTER_SLOTS: usize = 32;
+
+/// One place's counters, aligned to their own cache lines: every executed
+/// task bumps one, so a shared counter line would bounce between the
+/// places on every task, and so would any read-mostly field next to it.
+#[derive(Default)]
+#[repr(align(128))]
+struct PlaceCounters {
+    /// Nodes actually relaxed (edge lists scanned).
+    relaxed: AtomicU64,
+    /// Tasks that passed the scheduler's dead check but lost the race in
+    /// the in-task re-check (Listing 5 lines 2–6).
+    late_dead: AtomicU64,
+}
+
 /// Shared application state + Listing 5's `relaxNode`.
 pub struct SsspExecutor<'g> {
     graph: &'g CsrGraph,
@@ -27,12 +45,9 @@ pub struct SsspExecutor<'g> {
     /// Relaxation parameter passed to every spawn (§2.2; the evaluation uses
     /// one k per run).
     k: usize,
-    /// Nodes actually relaxed (edge lists scanned). Greater than the number
-    /// of reachable nodes exactly when useless work happened.
-    relaxed: AtomicU64,
-    /// Tasks that passed the scheduler's dead check but lost the race in
-    /// the in-task re-check (Listing 5 lines 2–6).
-    late_dead: AtomicU64,
+    /// Per-place relaxed / late-dead counts; [`SsspExecutor::relaxed`] and
+    /// [`SsspExecutor::late_dead`] sum them.
+    counters: Box<[PlaceCounters]>,
     /// When `false`, the scheduler-side dead check is disabled and every
     /// dead task relies on the in-task re-check alone (ablation: quantifies
     /// what lazy elimination in the data structures buys, §5.1).
@@ -65,8 +80,9 @@ impl<'g> SsspExecutor<'g> {
             graph,
             dist,
             k,
-            relaxed: AtomicU64::new(0),
-            late_dead: AtomicU64::new(0),
+            counters: (0..COUNTER_SLOTS)
+                .map(|_| PlaceCounters::default())
+                .collect(),
             eliminate_dead,
             spawn_chunk: 0,
         }
@@ -91,14 +107,21 @@ impl<'g> SsspExecutor<'g> {
         )
     }
 
-    /// Nodes relaxed so far.
+    /// Nodes relaxed so far. Greater than the number of reachable nodes
+    /// exactly when useless work happened.
     pub fn relaxed(&self) -> u64 {
-        self.relaxed.load(Ordering::Relaxed)
+        self.counters
+            .iter()
+            .map(|c| c.relaxed.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Tasks found dead by the in-task re-check.
     pub fn late_dead(&self) -> u64 {
-        self.late_dead.load(Ordering::Relaxed)
+        self.counters
+            .iter()
+            .map(|c| c.late_dead.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// The distance array (snapshot after the run).
@@ -124,12 +147,13 @@ impl<'g> TaskExecutor<SsspTask> for SsspExecutor<'g> {
     fn execute(&self, task: SsspTask, ctx: &mut SpawnCtx<'_, SsspTask>) {
         // Re-check under the distance actually stored now; the scheduler's
         // is_dead ran earlier and the value may have improved since.
+        let counters = &self.counters[ctx.place() % COUNTER_SLOTS];
         let d_bits = self.dist.load_bits(task.node);
         if d_bits != task.dist_bits {
-            self.late_dead.fetch_add(1, Ordering::Relaxed);
+            counters.late_dead.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.relaxed.fetch_add(1, Ordering::Relaxed);
+        counters.relaxed.fetch_add(1, Ordering::Relaxed);
         let d = f64::from_bits(d_bits);
         let mut batch = ctx.take_batch_buf();
         for e in self.graph.neighbors(task.node) {
@@ -210,6 +234,29 @@ mod tests {
             );
             assert_eq!(exec.relaxed(), 4, "chunk={chunk}");
         }
+    }
+
+    /// The per-place counters sum exactly: every task the scheduler ran
+    /// (not discarded by `is_dead`) either relaxed its node or lost the
+    /// in-task re-check, and every reachable node was relaxed at least once.
+    #[test]
+    fn per_place_counters_sum_exactly() {
+        use priosched_graph::{dijkstra, erdos_renyi, ErdosRenyiConfig};
+        let g = erdos_renyi(&ErdosRenyiConfig {
+            n: 2_000,
+            p: 0.005,
+            seed: 3,
+        });
+        let reachable = dijkstra(&g, 0)
+            .dist
+            .iter()
+            .filter(|d| d.is_finite())
+            .count() as u64;
+        let exec = SsspExecutor::new(&g, 0, 8);
+        let sched = Scheduler::from_pool_arc(Arc::new(PriorityWorkStealing::new(4)));
+        let run = sched.run(&exec, vec![exec.root(0)]);
+        assert_eq!(exec.relaxed() + exec.late_dead(), run.executed);
+        assert!(exec.relaxed() >= reachable);
     }
 
     #[test]
