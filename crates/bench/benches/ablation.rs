@@ -1,4 +1,5 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches, one group per design choice whose alternative is
+//! cheap to build and could plausibly win:
 //!
 //! 1. randomized vs linear slot placement in the centralized push
 //!    (Listing 1 line 9 — "Randomization is used to improve scalability");
@@ -6,7 +7,8 @@
 //! 3. hybrid (temporal ρ-relaxation, lock-free) vs the structural
 //!    prototype (§5.3);
 //! 4. binary heap vs pairing heap as the place-local priority queue
-//!    (§4.1: "any sequential implementation … can be used").
+//!    (§4.1: "any sequential implementation … can be used"), on a heap
+//!    that fits in L2 and on one that exceeds the caches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use priosched_core::centralized::{CentralizedKPriority, Placement};
@@ -100,6 +102,49 @@ fn heap_cycle<Q: SequentialPriorityQueue<u64>>() {
     while q.pop().is_some() {}
 }
 
+/// A scheduler-sized queue entry: 32 bytes, ordered by `(key, seq)`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry32 {
+    key: u64,
+    seq: u64,
+    payload: [u64; 2],
+}
+
+/// Entries in the cache-exceeding case: 2·10⁵ × 32 bytes = 6.4 MB.
+const LARGE: u64 = 200_000;
+
+/// Pops and pushes on a queue of [`LARGE`] entries the way SSSP does:
+/// each pop is followed by 0–2 pushes of keys a little above the popped
+/// one (one on average), so the keys rise and the size stays near
+/// `LARGE`.
+fn large_heap_cycle<Q: SequentialPriorityQueue<Entry32>>() {
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let entry = |key, seq| Entry32 {
+        key,
+        seq,
+        payload: [seq; 2],
+    };
+    let mut q = Q::new();
+    for seq in 0..LARGE {
+        q.push(entry(next() % (1 << 20), seq));
+    }
+    let mut seq = LARGE;
+    for _ in 0..LARGE {
+        let Some(min) = q.pop() else { break };
+        for _ in 0..next() % 3 {
+            q.push(entry(min.key + next() % (1 << 16), seq));
+            seq += 1;
+        }
+    }
+    criterion::black_box(q.len());
+}
+
 fn bench_local_pq(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_local_pq");
     g.sample_size(10);
@@ -108,6 +153,15 @@ fn bench_local_pq(c: &mut Criterion) {
     g.bench_function("pairing_heap", |b| b.iter(heap_cycle::<PairingHeap<u64>>));
     g.bench_function("quaternary_heap", |b| {
         b.iter(heap_cycle::<QuaternaryHeap<u64>>)
+    });
+    g.bench_function("binary_heap_200k_x32B", |b| {
+        b.iter(large_heap_cycle::<BinaryHeap<Entry32>>)
+    });
+    g.bench_function("pairing_heap_200k_x32B", |b| {
+        b.iter(large_heap_cycle::<PairingHeap<Entry32>>)
+    });
+    g.bench_function("quaternary_heap_200k_x32B", |b| {
+        b.iter(large_heap_cycle::<QuaternaryHeap<Entry32>>)
     });
     g.finish();
 }

@@ -12,16 +12,17 @@
 //! per-module census of `Ordering::` usage by flavor, so ordering-strength
 //! creep shows up in CI logs.
 //!
-//! The same walk holds `unsafe` blocks to the crate's discipline: every
-//! `unsafe {` outside test modules needs a `// SAFETY:` comment, either
-//! trailing on its own line or in the comment block directly above the
-//! statement that contains it (attributes such as `#[cfg(..)]` may sit in
-//! between). A SAFETY comment covers one statement: it does not carry over
-//! a line that ends in `;`, `{` or `}`.
+//! The same walk holds `unsafe` blocks to the crate's discipline, in
+//! `crates/core/src` and in `crates/pq/src` (the sequential heaps' sift
+//! kernel): every `unsafe {` outside test modules needs a `// SAFETY:`
+//! comment, either trailing on its own line or in the comment block
+//! directly above the statement that contains it (attributes such as
+//! `#[cfg(..)]` may sit in between). A SAFETY comment covers one
+//! statement: it does not carry over a line that ends in `;`, `{` or `}`.
 //!
 //! Usage: `cargo run -p priosched-bench --bin atomics_audit` (run from
-//! anywhere inside the workspace; the core source dir is located relative
-//! to `CARGO_MANIFEST_DIR`).
+//! anywhere inside the workspace; the source dirs are located relative to
+//! `CARGO_MANIFEST_DIR`).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -35,13 +36,41 @@ const EXEMPT_FILES: &[&str] = &["sync.rs"];
 
 const FLAVORS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-fn core_src_dir() -> PathBuf {
-    // crates/bench -> crates -> workspace root -> crates/core/src
+/// `crates/<name>/src`, found from the bench crate's manifest dir.
+fn crate_src_dir(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .expect("bench crate lives under crates/")
-        .join("core")
+        .join(name)
         .join("src")
+}
+
+/// The `.rs` files directly in `dir`, sorted.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+        .filter_map(|entry| {
+            let path = entry.expect("readable dir entry").path();
+            (path.extension().is_some_and(|x| x == "rs")).then_some(path)
+        })
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no .rs files under {}", dir.display());
+    files
+}
+
+/// `file:line` of every unjustified `unsafe` block in `files`.
+fn unjustified_in(files: &[PathBuf]) -> Vec<String> {
+    let mut out = Vec::new();
+    for path in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for lineno in unsafe_without_safety(&text) {
+            out.push(format!("{name}:{lineno}"));
+        }
+    }
+    out
 }
 
 /// The non-test prefix of a source file: everything before the first line
@@ -116,19 +145,18 @@ fn unsafe_without_safety(text: &str) -> Vec<usize> {
 }
 
 fn main() -> ExitCode {
-    let dir = core_src_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
-        .filter_map(|entry| {
-            let path = entry.expect("readable dir entry").path();
-            (path.extension().is_some_and(|x| x == "rs")).then_some(path)
-        })
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "no .rs files under {}", dir.display());
+    let dir = crate_src_dir("core");
+    let files = rust_files(&dir);
+    let pq_dir = crate_src_dir("pq");
+    let pq_files = rust_files(&pq_dir);
 
     let mut violations = Vec::new();
-    let mut unjustified = Vec::new();
+    let mut unjustified = unjustified_in(&files);
+    unjustified.extend(
+        unjustified_in(&pq_files)
+            .into_iter()
+            .map(|u| format!("pq/{u}")),
+    );
     let mut census: BTreeMap<String, BTreeMap<&str, usize>> = BTreeMap::new();
 
     for path in &files {
@@ -146,9 +174,6 @@ fn main() -> ExitCode {
             }
         }
 
-        for lineno in unsafe_without_safety(&text) {
-            unjustified.push(format!("{name}:{lineno}"));
-        }
         if EXEMPT_FILES.contains(&name.as_str()) {
             continue;
         }
@@ -162,9 +187,11 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "atomics audit: {} files under {}",
+        "atomics audit: {} files under {} ({} more under {} for the unsafe rule)",
         files.len(),
-        dir.display()
+        dir.display(),
+        pq_files.len(),
+        pq_dir.display()
     );
     println!(
         "\n{:<18} {:>8} {:>8} {:>8} {:>7} {:>7}",
@@ -249,6 +276,26 @@ mod tests {
         assert_eq!(unsafe_without_safety(nested), vec![3]);
         let plain = "// Not a justification.\nlet a = unsafe { f() };\n";
         assert_eq!(unsafe_without_safety(plain), vec![2]);
+    }
+
+    /// The sequential heaps carry `unsafe` blocks (the hole-based sift
+    /// kernel); the audit reads their sources and finds every block
+    /// justified.
+    #[test]
+    fn pq_sources_are_audited() {
+        let files = rust_files(&crate_src_dir("pq"));
+        let blocks: usize = files
+            .iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(path).expect("readable source");
+                non_test_lines(&text)
+                    .into_iter()
+                    .filter(|l| opens_unsafe_block(l))
+                    .count()
+            })
+            .sum();
+        assert!(blocks > 0, "the pq crate has unsafe blocks to audit");
+        assert_eq!(unjustified_in(&files), Vec::<String>::new());
     }
 
     #[test]

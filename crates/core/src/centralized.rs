@@ -22,6 +22,28 @@
 //!   `[tail, tail + kmax)`; a single random probe may take one of them —
 //!   pops are allowed to fail spuriously (§2.1).
 //!
+//! # The place-local queue
+//!
+//! The local queue holds a reference to every live task the place knows
+//! of, its own and every other place's, and at P ≥ 2 most foreign
+//! references are stale by the time they reach its top. It is kept as the
+//! crate-private `view::LocalView` shared with the hybrid structure: a
+//! small heap plus sorted runs merged through a head heap, so a stale
+//! reference costs a step through a sorted buffer instead of a sift
+//! through one heap of every reference.
+//!
+//! * Each `ingest` scan of `[head, tail)` gathers its live foreign
+//!   references and sorts them into one run. Scans are large: Listing 1
+//!   advances `tail` one whole k-window at a time, so a scan reads at least
+//!   one window (≈ k(P−1)/P foreign references at P places).
+//! * Own pushes go to the small heap. There is no publish event to freeze
+//!   it on, so it is frozen into a run whenever it reaches `SMALL_MAX`
+//!   entries.
+//!
+//! Pops take the live reference with the smallest `(prio, tag)` among
+//! exactly the references one heap would hold, so ρ = k, the probe, the
+//! adoption of a previous handle's items and `reclaim` are unchanged.
+//!
 //! # Lock-freedom
 //!
 //! Push: a full window implies `k` successful pushes by others; a failed
@@ -36,8 +58,8 @@ use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::util::XorShift64;
+use crate::view::LocalView;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
 use std::sync::Arc;
 
 /// Default maximum per-task `k` (§4.1.2: "We chose kmax = 512 for our
@@ -123,7 +145,9 @@ impl<T: Send + 'static> CentralizedKPriority<T> {
     /// every slot's item has been taken (its tag no longer matches the
     /// slot position — a recycled tag counts as taken, which is exactly
     /// the ABA-safe reading). This is the quiescent-point realization of
-    /// §4.1.3's reclamation scheme; see DESIGN.md §4.
+    /// §4.1.3's reclamation scheme: it runs only while no handle is live,
+    /// so no place needs the paper's per-place reference counts on its
+    /// head index to be safe from it.
     ///
     /// # Panics
     /// Panics if any place handle is live: reclamation requires
@@ -180,7 +204,7 @@ impl<T: Send + 'static> TaskPool<T> for CentralizedKPriority<T> {
             scan_cursor: SegmentCursor::default(),
             push_cursor: SegmentCursor::default(),
             probe_cursor: SegmentCursor::default(),
-            pq: BinaryHeap::with_capacity(256),
+            view: LocalView::new(),
             staged: Vec::new(),
             cache: ItemCache::new(),
             rng: XorShift64::new(0xC3A5_0000 ^ place as u64),
@@ -195,15 +219,17 @@ pub struct CentralizedHandle<T: Send + 'static> {
     shared: Arc<CentralizedKPriority<T>>,
     place: u32,
     /// Private index into the global array: everything below it has been
-    /// ingested into `pq` (Listing 2: "Each place maintains its own head
+    /// ingested into `view` (Listing 2: "Each place maintains its own head
     /// index into the global array").
     head: u64,
     adopt_own_below: u64,
     scan_cursor: SegmentCursor<T>,
     push_cursor: SegmentCursor<T>,
     probe_cursor: SegmentCursor<T>,
-    pq: BinaryHeap<ItemRef<T>>,
-    /// A batch push's references before their one bulk repair of `pq`;
+    /// Listing 2's place-local priority queue: own pushes in a small heap,
+    /// each scan's foreign references as one sorted run (see `view`).
+    view: LocalView<T>,
+    /// A batch push's references before their one bulk repair of the view;
     /// kept (empty) between batches so pushing a batch allocates nothing.
     staged: Vec<ItemRef<T>>,
     /// Place-local stash of free items; refilled/flushed in batches so
@@ -219,8 +245,9 @@ pub struct CentralizedHandle<T: Send + 'static> {
 unsafe impl<T: Send + 'static> Send for CentralizedHandle<T> {}
 
 impl<T: Send + 'static> CentralizedHandle<T> {
-    /// Ingests `[head, tail)` into the local priority queue; returns the
-    /// tail value scanned to.
+    /// Ingests `[head, tail)` into the place-local view, the live foreign
+    /// references of one scan forming one run; returns the tail value
+    /// scanned to.
     fn ingest(&mut self) -> u64 {
         let tail = self.shared.tail.load(Ordering::Acquire);
         while self.head < tail {
@@ -240,7 +267,7 @@ impl<T: Send + 'static> CentralizedHandle<T> {
                 let foreign =
                     item.place.load(Ordering::Relaxed) != self.place || pos < self.adopt_own_below;
                 if foreign && item.is_live_at(pos) {
-                    self.pq.push(ItemRef {
+                    self.view.pending.push(ItemRef {
                         prio: item.prio.load(Ordering::Relaxed),
                         tag: pos,
                         ptr,
@@ -250,6 +277,7 @@ impl<T: Send + 'static> CentralizedHandle<T> {
             }
             self.head += 1;
         }
+        self.view.add_pending();
         tail
     }
 
@@ -267,8 +295,12 @@ impl<T: Send + 'static> CentralizedHandle<T> {
         let item = unsafe { &*ptr };
         // Eligibility: the item must still be inside its own k-window
         // relative to the tail we read, so taking it ignores no task beyond
-        // what its own relaxation bound permits (see DESIGN.md §3.2 for why
-        // we read Listing 2's guard this way).
+        // what its own relaxation bound permits. Listing 2 guards the probe
+        // with k; we use the item's own k, not kmax: a push with per-task k
+        // lands in [t, t + k) of the tail t it read, so an item at offset
+        // ≥ k from our tail was placed after the tail moved past ours, and
+        // taking it would skip the full windows in between, which our scan
+        // has not ingested.
         if (item.k.load(Ordering::Relaxed) as u64) <= offset {
             return None;
         }
@@ -343,14 +375,14 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
         unsafe { (*ptr).init(self.place, k as u32, prio, task) };
         let mut t = self.shared.tail.load(Ordering::Acquire);
         let r = self.place_item(ptr, prio, k, &mut t);
-        self.pq.push(r);
+        self.view.push_own(r);
     }
 
     /// Listing 2.
     fn pop_entry(&mut self) -> Option<(u64, T)> {
         loop {
-            let scanned_to = self.ingest();
-            while let Some(r) = self.pq.pop() {
+            let mut scanned_to = self.ingest();
+            while let Some(r) = self.view.pop() {
                 // SAFETY: pool-owned item.
                 let item = unsafe { &*r.ptr };
                 if item.is_live_at(r.tag) {
@@ -365,7 +397,7 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
                 // the global array for new tasks before trying again.
                 self.stats.stale_refs += 1;
                 if self.shared.tail.load(Ordering::Acquire) != scanned_to {
-                    self.ingest();
+                    scanned_to = self.ingest();
                 }
             }
             // Local queue drained. If the tail moved since our scan there
@@ -411,7 +443,7 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
             let r = self.place_item(ptr, prio, k, &mut t);
             self.staged.push(r);
         }
-        self.pq.extend_batch(self.staged.drain(..));
+        self.view.add_own(&mut self.staged);
     }
 
     /// Batch pop (Listing 2 amortized): one global-array scan serves up to
@@ -428,9 +460,9 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
         }
         let mut got = 0;
         loop {
-            let scanned_to = self.ingest();
+            let mut scanned_to = self.ingest();
             while got < max {
-                let Some(r) = self.pq.pop() else { break };
+                let Some(r) = self.view.pop() else { break };
                 // SAFETY: pool-owned item.
                 let item = unsafe { &*r.ptr };
                 if item.is_live_at(r.tag) {
@@ -444,7 +476,7 @@ impl<T: Send + 'static> PoolHandle<T> for CentralizedHandle<T> {
                 }
                 self.stats.stale_refs += 1;
                 if self.shared.tail.load(Ordering::Acquire) != scanned_to {
-                    self.ingest();
+                    scanned_to = self.ingest();
                 }
             }
             if got >= max {
@@ -725,6 +757,101 @@ mod tests {
         let p = pool(1, 4);
         let _h = p.handle(0);
         p.reclaim();
+    }
+
+    /// One place pushes across several `SMALL_MAX` freezes, popping now
+    /// and then: its own references sit in the small heap and in frozen
+    /// runs, and every pop still returns the exact minimum of the live
+    /// tasks (priorities are distinct, so that is the `(prio, tag)` order).
+    #[test]
+    fn single_place_pops_across_small_heap_freezes_in_exact_order() {
+        use crate::view::SMALL_MAX;
+        use priosched_pq::SequentialPriorityQueue;
+        let p = pool(1, 64);
+        let mut h = p.handle(0);
+        let mut live = std::collections::BTreeSet::new();
+        let mut rng = XorShift64::new(31);
+        let (mut max_runs, mut max_small) = (0, 0);
+        for i in 0..4 * SMALL_MAX as u64 {
+            let prio = (rng.below(1 << 20) << 20) | i;
+            h.push(prio, 64, i);
+            live.insert((prio, i));
+            if rng.below(4) == 0 {
+                let want = live.pop_first().map(|(_, i)| i);
+                assert_eq!(h.pop(), want);
+            }
+            max_runs = max_runs.max(h.view.heads.len());
+            max_small = max_small.max(h.view.small.len());
+        }
+        assert!(max_runs >= 2, "the small heap must be frozen into runs");
+        assert!(
+            max_small < SMALL_MAX,
+            "the small heap is frozen at SMALL_MAX"
+        );
+        while let Some((_, want)) = live.pop_first() {
+            assert_eq!(h.pop(), Some(want));
+        }
+        assert_eq!(h.pop(), None);
+        assert!(h.view.runs.iter().all(Vec::is_empty), "runs are drained");
+    }
+
+    /// Two places, one pusher, k = kmax = 64. With one pusher every
+    /// window receives exactly k tasks before the tail passes it, so push
+    /// number i sits below the tail iff i / k < tail / k. The popper reads
+    /// those tasks through window scans, whole windows at a time, so its
+    /// references arrive as runs; it must return the exact minimum of the
+    /// live tasks below the tail, and may use the probe only when there is
+    /// none. The pusher pops too, which leaves stale references in the
+    /// popper's runs; it holds a reference to every task, so its pops are
+    /// exact over all live tasks.
+    #[test]
+    fn window_scan_runs_match_exact_min_oracle() {
+        use priosched_pq::SequentialPriorityQueue;
+        let k = 64u64;
+        let p = pool(2, k as u32);
+        let mut pusher = p.handle(0);
+        let mut popper = p.handle(1);
+        let mut live = std::collections::BTreeMap::new(); // (prio, i) -> ()
+        let mut prio_of = Vec::new();
+        let mut rng = XorShift64::new(47);
+        let mut max_runs = 0;
+        for _ in 0..1_500 {
+            for _ in 0..rng.below(3) * rng.below(90) {
+                let i = prio_of.len() as u64;
+                let prio = (rng.below(1 << 20) << 20) | i;
+                pusher.push(prio, k as usize, i);
+                prio_of.push(prio);
+                live.insert((prio, i), ());
+            }
+            for _ in 0..rng.below(5) {
+                let below = p.tail() / k;
+                let want = live.keys().find(|&&(_, i)| i / k < below).copied();
+                let got = popper.pop();
+                match (got, want) {
+                    (got, Some((_, i))) => assert_eq!(got, Some(i)),
+                    (Some(got), None) => {
+                        assert!(got / k >= below, "probe took a task below the tail")
+                    }
+                    (None, None) => {}
+                }
+                if let Some(i) = got {
+                    live.remove(&(prio_of[i as usize], i));
+                }
+            }
+            if rng.below(3) == 0 {
+                let want = live.keys().next().copied();
+                assert_eq!(pusher.pop(), want.map(|(_, i)| i));
+                if let Some(key) = want {
+                    live.remove(&key);
+                }
+            }
+            max_runs = max_runs.max(popper.view.heads.len());
+        }
+        assert!(max_runs >= 2, "the popper must hold several runs");
+        assert!(
+            popper.stats().stale_refs > 0,
+            "the popper must meet stale references"
+        );
     }
 
     #[test]

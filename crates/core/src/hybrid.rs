@@ -23,37 +23,17 @@
 //! # The place-local view
 //!
 //! Listing 4's `processGlobalList` adds a reference to every live published
-//! task of every other place to the reader's one priority queue. References
-//! leave that queue only when they reach its top, and most of them are
-//! stale by then (another place took the task), so on a large SSSP run the
-//! queue holds on the order of 10⁵ references per place and nearly every
-//! pop also sifts out a stale duplicate — an O(log n) walk through
-//! megabytes of cache-missing heap. `LocalView` stores the same
-//! references in three parts instead:
-//!
-//! * a **small heap** holding this place's unpublished pushes and the
-//!   references it gathered by spying;
-//! * **sorted runs**: the live references one `process_global_list` call
-//!   ingests are sorted by `(prio, tag)` once, at ingest, and kept as one
-//!   run; `publish` freezes the small heap into a run of its own, which
-//!   keeps the small heap at about `k` entries. References too few to be
-//!   worth a run (`MIN_RUN`; tiny publishes, e.g. with `k = 0`) join or
-//!   stay in the small heap instead, and it is frozen whenever it reaches
-//!   `SMALL_MAX`;
-//! * a **head heap** with one entry per non-empty run, keyed by the run's
-//!   smallest reference.
-//!
-//! A pop takes the smaller of the small-heap top and the head-heap top.
-//! Taking from a run is a cursor step plus one replace-top sift of the head
-//! heap, and the item behind the run's new smallest reference is
-//! prefetched, so a stale reference costs a step through a sequential
-//! buffer rather than a sift through the whole reference set. The two
-//! heaps that are ever sifted hold about as many entries as there are runs
-//! plus the small heap: on the sparse SSSP benchmark (n = 200 000, P = 2,
-//! k = 512) at most ~1.3k, where the single queue held ~150k on average.
-//! Runs are gathered in one reused buffer and stored as exact-size
-//! copies, which are freed as soon as they are exhausted, so the view
-//! holds no more memory than the references it contains.
+//! task of every other place to the reader's one priority queue, and most
+//! of those references are stale by the time they reach its top. The
+//! queue is therefore kept as the crate-private `view::LocalView` shared
+//! with the centralized structure: a small heap of this place's
+//! unpublished pushes and the references it gathered by spying, plus
+//! sorted runs merged through a head heap. The live references one
+//! `process_global_list` call ingests form one run, and `publish` freezes
+//! the small heap into a run of its own, which keeps the small heap at
+//! about `k` entries. On the sparse SSSP benchmark (n = 200 000, P = 2,
+//! k = 512) the heaps that are ever sifted hold at most ~1.3k entries,
+//! where the single queue held ~150k on average.
 //!
 //! The selection rule is the same as with one queue: every pop considers
 //! exactly the references that queue would hold and takes the live one
@@ -66,8 +46,11 @@ use crate::pool::{PoolHandle, TaskPool};
 use crate::stats::PlaceStats;
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use crate::util::XorShift64;
+use crate::view::LocalView;
+#[cfg(test)]
+use crate::view::SMALL_MAX;
 use crossbeam_utils::CachePadded;
-use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
+use priosched_pq::SequentialPriorityQueue;
 use std::ptr;
 use std::sync::Arc;
 
@@ -81,151 +64,6 @@ const NO_VICTIM: usize = usize::MAX;
 
 /// Owner id of the global-list sentinel segment.
 const SENTINEL_OWNER: u32 = u32::MAX;
-
-/// Fewer references than this are not worth a run of their own: a short
-/// ingest joins the small heap instead, and `publish` leaves a small heap
-/// this small in place. Tiny publishes (`k = 0` publishes every push)
-/// would otherwise make one run per task.
-const MIN_RUN: usize = 32;
-
-/// The small heap is frozen into a run whenever it reaches this size, even
-/// between publishes, so tiny ingests cannot grow it without bound.
-const SMALL_MAX: usize = 2 * HSEGMENT_LEN;
-
-/// Head-heap entry: a run's smallest reference's key and the run's index.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct RunHead {
-    prio: u64,
-    tag: u64,
-    run: u32,
-}
-
-/// Hints the CPU to load `item` into cache ahead of its tag check.
-#[inline(always)]
-fn prefetch_item<T>(item: *const Item<T>) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: a prefetch is only a hint; it never faults or writes,
-    // whatever the address.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(item.cast())
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = item;
-}
-
-/// One place's references to tasks: a small heap plus sorted runs merged
-/// through a head heap (see the module docs). `pop` returns references in
-/// exactly the `(prio, tag)` order one heap of all of them would.
-struct LocalView<T> {
-    /// Unpublished own pushes and spied references.
-    small: BinaryHeap<ItemRef<T>>,
-    /// One entry per non-empty run, keyed by the run's smallest reference.
-    heads: BinaryHeap<RunHead>,
-    /// Sorted runs, largest first, so a run's smallest reference is its
-    /// `last()`; indexed by [`RunHead::run`]. Exhausted runs are freed and
-    /// leave an empty slot.
-    runs: Vec<Vec<ItemRef<T>>>,
-    /// Indices of empty slots in `runs`.
-    free: Vec<u32>,
-    /// The next run, while it is being gathered; keeps its capacity, so
-    /// building a run allocates only the run's exact-size copy.
-    pending: Vec<ItemRef<T>>,
-}
-
-impl<T> LocalView<T> {
-    fn new() -> Self {
-        LocalView {
-            small: BinaryHeap::with_capacity(256),
-            heads: BinaryHeap::new(),
-            runs: Vec::new(),
-            free: Vec::new(),
-            pending: Vec::new(),
-        }
-    }
-
-    /// Adds the ingested references in `pending` as a run, or to the
-    /// small heap when there are too few of them to be worth a run.
-    fn add_pending(&mut self) {
-        if self.pending.len() >= MIN_RUN {
-            self.seal_run();
-            return;
-        }
-        self.small.extend_batch(self.pending.drain(..));
-        if self.small.len() >= SMALL_MAX {
-            self.freeze(&mut Vec::new());
-        }
-    }
-
-    /// Sorts the (non-empty) `pending` into a new run, leaving `pending`
-    /// empty. Runs are exact-size copies, so a run never holds more memory
-    /// than the references it was built with.
-    fn seal_run(&mut self) {
-        self.pending.sort_unstable_by(|a, b| b.cmp(a));
-        let run = self.pending.to_vec();
-        self.pending.clear();
-        let top = &run[run.len() - 1];
-        prefetch_item(top.ptr);
-        let (prio, tag) = (top.prio, top.tag);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.runs[idx as usize] = run;
-                idx
-            }
-            None => {
-                self.runs.push(run);
-                (self.runs.len() - 1) as u32
-            }
-        };
-        self.heads.push(RunHead {
-            prio,
-            tag,
-            run: idx,
-        });
-    }
-
-    /// Turns the small heap and `staged` into a run, or only moves
-    /// `staged` into the small heap while that is below [`MIN_RUN`].
-    fn freeze(&mut self, staged: &mut Vec<ItemRef<T>>) {
-        if self.small.len() + staged.len() < MIN_RUN {
-            self.small.extend_batch(staged.drain(..));
-            return;
-        }
-        self.pending.extend_from_slice(self.small.as_slice());
-        self.small.clear();
-        self.pending.append(staged);
-        self.seal_run();
-    }
-
-    /// Removes and returns the smallest reference.
-    fn pop(&mut self) -> Option<ItemRef<T>> {
-        let head = match (self.small.peek(), self.heads.peek()) {
-            (_, None) => return self.small.pop(),
-            (Some(s), Some(h)) if (s.prio, s.tag) <= (h.prio, h.tag) => {
-                return self.small.pop();
-            }
-            (_, Some(&h)) => h,
-        };
-        let run = &mut self.runs[head.run as usize];
-        let r = run.pop().expect("a head entry names a non-empty run");
-        match run.last() {
-            Some(next) => {
-                prefetch_item(next.ptr);
-                let (prio, tag) = (next.prio, next.tag);
-                self.heads.replace_top(RunHead {
-                    prio,
-                    tag,
-                    run: head.run,
-                });
-            }
-            None => {
-                self.heads.pop();
-                *run = Vec::new();
-                self.free.push(head.run);
-            }
-        }
-        Some(r)
-    }
-}
 
 /// A segment of a (local or global) task list.
 struct HSeg<T> {
@@ -324,9 +162,10 @@ impl<T: Send + 'static> HybridKPriority<T> {
     /// items taken). Returns the number of segments freed.
     ///
     /// Quiescent-point counterpart of the paper's concurrent reclamation
-    /// (§4.2.3 refers to the same scheme as §4.1.3); see DESIGN.md §4.
-    /// New handles start reading at the sentinel, so reclaimed prefixes
-    /// are never re-visited.
+    /// (§4.2.3 refers to the same scheme as §4.1.3): it runs only while no
+    /// handle is live, so readers need no reference counts or epochs to be
+    /// safe from it. New handles start reading at the sentinel, so
+    /// reclaimed prefixes are never re-visited.
     ///
     /// # Panics
     /// Panics if any place handle is live.

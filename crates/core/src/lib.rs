@@ -24,19 +24,25 @@
 //! [`scheduler::Scheduler`] (places, help-first spawning, termination
 //! detection, finish regions — §2 of the paper).
 //!
-//! The hybrid stores each place's references — Listing 4's place-local
-//! priority queue, which holds a reference to every live published task
-//! of every other place — as a **place-local view**: a small heap of the
-//! place's own unpublished pushes and spied references, plus **sorted
-//! runs** (each ingested batch of global-list references is sorted by
-//! `(prio, tag)` once, at ingest; `publish` freezes the small heap into a
-//! run of its own) merged through a **head heap** with one entry per run.
-//! A pop takes the smaller of the small-heap and head-heap tops, so a
-//! stale reference costs a cursor step instead of a sift through one heap
-//! of every published reference; the heaps that are ever sifted shrink
-//! from ~150k entries to ≤ 2k on a 200k-node SSSP. Pop selection (the live
-//! reference with the smallest `(prio, tag)`) and ρ = P·k are unchanged;
-//! see the [`hybrid`] module docs.
+//! The centralized and hybrid structures store each place's references —
+//! Listings 2 and 4's place-local priority queue, which holds a reference
+//! to every live task the place has read from the shared array or list —
+//! as a **place-local view** (`view::LocalView`): a small heap of the
+//! place's own recent pushes (and, in the hybrid, spied references), plus
+//! **sorted runs** (each centralized window scan and each hybrid
+//! global-list read is sorted by `(prio, tag)` once, at ingest; the small
+//! heap is frozen into a run of its own on a hybrid publish or when it
+//! fills) merged through a **head heap** with one entry per run. A pop
+//! takes the smaller of the small-heap and head-heap tops, so a stale
+//! reference costs a cursor step instead of a sift through one heap of
+//! every reference. Pop selection (the live reference with the smallest
+//! `(prio, tag)`) and the bounds ρ = k and ρ = P·k are unchanged; see the
+//! [`centralized`] and [`hybrid`] module docs.
+//!
+//! Every heap in the crate — these views, the work-stealing, structural
+//! and MultiQueue queues — is `priosched_pq::BinaryHeap`, whose sifts move
+//! a hole instead of swapping (one write per level) and whose `pop` sifts
+//! down to a leaf without comparing against the element it then sifts up.
 //!
 //! # Priorities
 //!
@@ -59,8 +65,13 @@
 //! The paper relies on a wait-free memory manager \[18\]. Here, task *items*
 //! live in a pool that recycles them through a lock-free free list and only
 //! releases memory when the data structure is dropped; position-derived tags
-//! make recycling ABA-safe exactly as in §4.1.3/§4.2.3. See DESIGN.md §4 for
-//! the substitution rationale.
+//! make recycling ABA-safe exactly as in §4.1.3/§4.2.3. The substitution
+//! keeps every push and pop free of hazard pointers or epochs: an item is
+//! never freed while the structure lives, so a stale reference can always
+//! be dereferenced and is told apart by its tag. Memory peaks at the most
+//! tasks live at once, not the total pushed. Global-array and global-list
+//! segments are freed by `reclaim` at quiescent points (no live handle,
+//! e.g. between scheduler runs) instead of concurrently.
 //!
 //! # Batch operations
 //!
@@ -361,6 +372,7 @@ pub mod structural;
 pub mod sync;
 pub mod task;
 pub(crate) mod util;
+pub(crate) mod view;
 pub mod workstealing;
 
 pub use async_ingest::{AsyncIngestHandle, JoinFuture, SubmitBatchFuture, SubmitFuture};

@@ -12,8 +12,9 @@
 //! live in the authors' earlier Pheet papers. This realization guards each
 //! place's queue with a `parking_lot::Mutex`: owner operations take an
 //! uncontended lock (a single CAS in the fast path), and thieves use
-//! `try_lock` so they skip busy victims instead of blocking — a documented
-//! substitution (DESIGN.md §4) that preserves the scheduling policy the
+//! `try_lock` so they skip busy victims instead of blocking. The lock is
+//! per place, so it is contended only by a thief against the owner, which
+//! steal-half makes rare; the substitution keeps the scheduling policy the
 //! evaluation measures (local priority order + random steal-half).
 
 use crate::pool::{PoolHandle, TaskPool};

@@ -61,6 +61,17 @@ fn hybrid_k() -> impl Strategy<Value = usize> {
     ]
 }
 
+/// Centralized `kmax`: at least `MIN_RUN` (32) so that a scan of one full
+/// window yields enough references to form a sorted run of the place-local
+/// view.
+const CENTRALIZED_KMAX: u32 = 64;
+
+/// Centralized `k` values: the strictest window, the small window these
+/// proptests used before, and a window of `kmax` whose scans form runs.
+fn centralized_k() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1), Just(4), Just(CENTRALIZED_KMAX as usize)]
+}
+
 /// A live entry: payload, global push sequence, pushing place, and the
 /// pushing place's local sequence at push time.
 #[derive(Clone, Copy, Debug)]
@@ -243,8 +254,13 @@ proptest! {
     }
 
     #[test]
-    fn centralized_conserves_tasks(ops in ops_strategy(150)) {
-        run_model_check(Arc::new(CentralizedKPriority::new(2, 16)), &ops, 4, None)?;
+    fn centralized_conserves_tasks(ops in ops_strategy(150), k in centralized_k()) {
+        run_model_check(
+            Arc::new(CentralizedKPriority::new(2, CENTRALIZED_KMAX)),
+            &ops,
+            k,
+            None,
+        )?;
     }
 
     #[test]
@@ -267,15 +283,15 @@ proptest! {
     }
 
     /// §2.2's temporal bound for the centralized structure, with uniform
-    /// per-task k = 4: a pop never ignores a better task older than the
-    /// last 4 pushes *to the structure* (global scope).
+    /// per-task k: a pop never ignores a better task older than the last
+    /// k pushes *to the structure* (global scope).
     #[test]
-    fn centralized_relaxation_oracle(ops in ops_strategy(200)) {
+    fn centralized_relaxation_oracle(ops in ops_strategy(200), k in centralized_k()) {
         run_model_check(
-            Arc::new(CentralizedKPriority::new(2, 16)),
+            Arc::new(CentralizedKPriority::new(2, CENTRALIZED_KMAX)),
             &ops,
-            4,
-            Some((RelaxationScope::Global, 4)),
+            k,
+            Some((RelaxationScope::Global, k as u64)),
         )?;
     }
 

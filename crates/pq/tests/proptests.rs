@@ -19,6 +19,18 @@ enum Op {
     ExtendBatch(Vec<i32>),
 }
 
+/// One step of a [`BinaryHeap`]-only tape (see
+/// `binary_heap_tape_matches_sorted_vec`).
+#[derive(Clone, Debug)]
+enum Tape {
+    Push(i16),
+    Pop,
+    ReplaceTop(i16),
+    Extend(Vec<i16>),
+    Append(Vec<i16>),
+    SplitHalf,
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => any::<i32>().prop_map(Op::Push),
@@ -152,6 +164,77 @@ proptest! {
             prop_assert_eq!(h.len(), reference.len());
             prop_assert_eq!(h.peek().copied(), reference.first().copied());
         }
+    }
+
+    /// Interleaved tapes of every operation that moves elements through
+    /// the sift kernel — push, pop, `replace_top`, `extend_batch` on both
+    /// sides of the heapify crossover, `append` and `split_half` — pop in
+    /// the same order as a sorted `Vec` holding the same elements.
+    #[test]
+    fn binary_heap_tape_matches_sorted_vec(
+        tape in proptest::collection::vec(
+            prop_oneof![
+                4 => any::<i16>().prop_map(Tape::Push),
+                3 => Just(Tape::Pop),
+                2 => any::<i16>().prop_map(Tape::ReplaceTop),
+                2 => proptest::collection::vec(any::<i16>(), 0..48).prop_map(Tape::Extend),
+                1 => proptest::collection::vec(any::<i16>(), 0..16).prop_map(Tape::Append),
+                1 => Just(Tape::SplitHalf),
+            ],
+            0..160,
+        ),
+    ) {
+        let mut h: BinaryHeap<i16> = BinaryHeap::new();
+        let mut sorted: Vec<i16> = Vec::new();
+        let insert = |sorted: &mut Vec<i16>, x: i16| {
+            let at = sorted.partition_point(|&y| y <= x);
+            sorted.insert(at, x);
+        };
+        for op in tape {
+            match op {
+                Tape::Push(x) => {
+                    h.push(x);
+                    insert(&mut sorted, x);
+                }
+                Tape::Pop => {
+                    let expect = (!sorted.is_empty()).then(|| sorted.remove(0));
+                    prop_assert_eq!(h.pop(), expect);
+                }
+                Tape::ReplaceTop(x) => {
+                    let expect = (!sorted.is_empty()).then(|| sorted.remove(0));
+                    prop_assert_eq!(h.replace_top(x), expect);
+                    insert(&mut sorted, x);
+                }
+                Tape::Extend(batch) => {
+                    h.extend_batch(batch.iter().copied());
+                    for x in batch {
+                        insert(&mut sorted, x);
+                    }
+                }
+                Tape::Append(batch) => {
+                    let mut other: BinaryHeap<i16> = batch.iter().copied().collect();
+                    h.append(&mut other);
+                    prop_assert!(other.is_empty());
+                    for x in batch {
+                        insert(&mut sorted, x);
+                    }
+                }
+                Tape::SplitHalf => {
+                    let mut stolen = h.split_half();
+                    prop_assert!(h.is_valid_heap() && stolen.is_valid_heap());
+                    prop_assert_eq!(stolen.len(), sorted.len().div_ceil(2));
+                    h.append(&mut stolen);
+                }
+            }
+            prop_assert!(h.is_valid_heap());
+            prop_assert_eq!(h.len(), sorted.len());
+            prop_assert_eq!(h.peek().copied(), sorted.first().copied());
+        }
+        let mut drained = Vec::with_capacity(h.len());
+        while let Some(x) = h.pop() {
+            drained.push(x);
+        }
+        prop_assert_eq!(drained, sorted);
     }
 
     #[test]
