@@ -12,10 +12,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use priosched_core::centralized::{CentralizedKPriority, Placement};
-use priosched_core::{PoolHandle, PoolKind, TaskPool};
-use priosched_graph::{erdos_renyi, ErdosRenyiConfig};
+use priosched_core::{PoolHandle, PoolKind, PoolParams, TaskPool};
 use priosched_pq::{BinaryHeap, PairingHeap, QuaternaryHeap, SequentialPriorityQueue};
-use priosched_sssp::{run_sssp_kind, SsspConfig};
+use priosched_workloads::{run_workload, SsspWorkload};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,39 +55,37 @@ fn bench_placement(c: &mut Criterion) {
 }
 
 fn bench_dead_elimination(c: &mut Criterion) {
-    let graph = erdos_renyi(&ErdosRenyiConfig {
-        n: 600,
-        p: 0.3,
-        seed: 1000,
-    });
+    let with_elimination = SsspWorkload::random(600, 0.3, 1000);
+    let without_elimination = SsspWorkload::random(600, 0.3, 1000).without_dead_elimination();
     let mut g = c.benchmark_group("ablation_dead_task_elimination");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
-    for (name, eliminate) in [("eliminate_on", true), ("eliminate_off", false)] {
+    for (name, w) in [
+        ("eliminate_on", &with_elimination),
+        ("eliminate_off", &without_elimination),
+    ] {
         g.bench_function(name, |b| {
-            let cfg = SsspConfig {
-                eliminate_dead: eliminate,
-                ..SsspConfig::new(4, 512)
-            };
-            b.iter(|| criterion::black_box(run_sssp_kind(PoolKind::Hybrid, &graph, 0, &cfg)))
+            b.iter(|| {
+                criterion::black_box(run_workload(
+                    w,
+                    PoolKind::Hybrid,
+                    4,
+                    PoolParams::with_k(512),
+                ))
+            })
         });
     }
     g.finish();
 }
 
 fn bench_structural_vs_hybrid(c: &mut Criterion) {
-    let graph = erdos_renyi(&ErdosRenyiConfig {
-        n: 600,
-        p: 0.3,
-        seed: 1000,
-    });
+    let w = SsspWorkload::random(600, 0.3, 1000);
     let mut g = c.benchmark_group("ablation_structural_vs_hybrid");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
     for kind in [PoolKind::Hybrid, PoolKind::Structural] {
         g.bench_function(kind.label(), |b| {
-            let cfg = SsspConfig::new(4, 64);
-            b.iter(|| criterion::black_box(run_sssp_kind(kind, &graph, 0, &cfg)))
+            b.iter(|| criterion::black_box(run_workload(&w, kind, 4, PoolParams::with_k(64))))
         });
     }
     g.finish();

@@ -6,26 +6,30 @@
 //! usable thread budget unless --full).
 
 use priosched_bench::{fig4_place_sweep, mean, write_csv, HarnessConfig};
-use priosched_core::PoolKind;
+use priosched_core::{PoolKind, PoolParams};
 use priosched_graph::dijkstra;
-use priosched_sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched_workloads::{run_workload, run_workload_lockstep, SsspWorkload};
 use std::time::Instant;
 
 fn main() {
     let cfg = HarnessConfig::from_args();
     cfg.banner("Figure 4: time & nodes relaxed vs P (k = 512)");
-    let graphs = cfg.graph_set();
+    let workloads: Vec<SsspWorkload> = cfg
+        .graph_set()
+        .into_iter()
+        .map(|g| SsspWorkload::new(g, 0))
+        .collect();
     let places_sweep = fig4_place_sweep(cfg.places);
-    let k = 512usize;
+    let params = PoolParams::with_k(512);
 
     let mut rows = Vec::new();
 
     // Sequential baseline (P = 1 column of the paper's figure).
     let mut seq_times = Vec::new();
     let mut seq_relaxed = Vec::new();
-    for g in &graphs {
+    for w in &workloads {
         let t0 = Instant::now();
-        let r = dijkstra(g, 0);
+        let r = dijkstra(w.graph(), 0);
         seq_times.push(t0.elapsed().as_secs_f64());
         seq_relaxed.push(r.relaxations as f64);
     }
@@ -37,27 +41,29 @@ fn main() {
     );
     rows.push(format!("Sequential,1,{seq_t:.6},{seq_n:.1}"));
 
-    // "time" comes from the threaded runner (real wall clock); "relaxed"
-    // comes from the lockstep runner, which reproduces the task-granular
+    // "time" comes from the threaded run (real wall clock); "relaxed" and
+    // "dead" come from the lockstep run, which reproduces the task-granular
     // interleaving of a P-core machine deterministically — on hosts with
     // few cores, OS timeslicing would otherwise hide the ordering effects
-    // the figure is about (see priosched_sssp::lockstep docs).
+    // the figure is about (see `Scheduler::run_lockstep`). Both runs are
+    // verified against Dijkstra.
     for kind in PoolKind::PAPER {
         for &places in &places_sweep {
             let mut times = Vec::new();
             let mut relaxed = Vec::new();
             let mut dead = Vec::new();
-            for g in &graphs {
-                let sssp_cfg = SsspConfig::new(places, k);
-                let timed = run_sssp_kind(kind, g, 0, &sssp_cfg);
+            for w in &workloads {
+                let timed = run_workload(w, kind, places, params);
+                timed.expect_verified();
                 times.push(timed.elapsed.as_secs_f64());
-                let ordered = run_sssp_lockstep_kind(kind, g, 0, &sssp_cfg);
-                relaxed.push(ordered.relaxed as f64);
-                dead.push(ordered.dead as f64);
+                let ordered = run_workload_lockstep(w, kind, places, params);
+                ordered.expect_verified();
+                relaxed.push(ordered.metric("relaxed").unwrap_or(0.0));
+                dead.push(ordered.dead as f64 + ordered.metric("late_dead").unwrap_or(0.0));
             }
-            let t = mean(times.iter().copied());
-            let n = mean(relaxed.iter().copied());
-            let d = mean(dead.iter().copied());
+            let t = mean(times);
+            let n = mean(relaxed);
+            let d = mean(dead);
             println!(
                 "{:<14} {:>3}  time {:>9.4}s  relaxed {:>9.0}  dead {:>8.0}",
                 kind.label(),

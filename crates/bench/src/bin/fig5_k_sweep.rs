@@ -6,64 +6,66 @@
 //! sequential relaxation count as reference lines.
 
 use priosched_bench::{fig5_k_sweep, mean, write_csv, HarnessConfig};
-use priosched_core::PoolKind;
+use priosched_core::{PoolKind, PoolParams};
 use priosched_graph::dijkstra;
-use priosched_sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched_workloads::{run_workload, run_workload_lockstep, SsspWorkload};
+
+/// Mean threaded wall time (s) and mean lockstep nodes relaxed of one
+/// cell over the graph set; both runs are verified against Dijkstra.
+fn cell(workloads: &[SsspWorkload], kind: PoolKind, places: usize, k: usize) -> (f64, f64) {
+    // `with_k` widens kmax to admit the swept k (the structure clamps k
+    // to kmax); the paper's fixed kmax = 512 applies to its other
+    // experiments, while Figure 5 exercises k beyond it.
+    let params = PoolParams::with_k(k);
+    let mut times = Vec::new();
+    let mut relaxed = Vec::new();
+    for w in workloads {
+        let timed = run_workload(w, kind, places, params);
+        timed.expect_verified();
+        times.push(timed.elapsed.as_secs_f64());
+        let ordered = run_workload_lockstep(w, kind, places, params);
+        ordered.expect_verified();
+        relaxed.push(ordered.metric("relaxed").unwrap_or(0.0));
+    }
+    (mean(times), mean(relaxed))
+}
 
 fn main() {
     let cfg = HarnessConfig::from_args();
     cfg.banner("Figure 5: time & nodes relaxed vs k (fixed P)");
-    let graphs = cfg.graph_set();
+    let workloads: Vec<SsspWorkload> = cfg
+        .graph_set()
+        .into_iter()
+        .map(|g| SsspWorkload::new(g, 0))
+        .collect();
     let places = cfg.places;
     let ks = fig5_k_sweep(cfg.full);
 
-    let seq_n = mean(graphs.iter().map(|g| dijkstra(g, 0).relaxations as f64));
+    let seq_n = mean(
+        workloads
+            .iter()
+            .map(|w| dijkstra(w.graph(), 0).relaxations as f64),
+    );
     println!("sequential reference: {seq_n:.0} nodes relaxed (each node once)\n");
 
     let mut rows = Vec::new();
 
     // Work-stealing ignores k: measure once, print as the flat reference.
-    // As in fig4_scaling: wall time from the threaded runner, relaxation
-    // counts from the deterministic lockstep runner.
-    {
-        let mut times = Vec::new();
-        let mut relaxed = Vec::new();
-        for g in &graphs {
-            let ws_cfg = SsspConfig::new(places, 0);
-            let timed = run_sssp_kind(PoolKind::WorkStealing, g, 0, &ws_cfg);
-            times.push(timed.elapsed.as_secs_f64());
-            let ordered = run_sssp_lockstep_kind(PoolKind::WorkStealing, g, 0, &ws_cfg);
-            relaxed.push(ordered.relaxed as f64);
-        }
-        let t = mean(times.iter().copied());
-        let n = mean(relaxed.iter().copied());
-        println!(
-            "{:<12} (any k)  time {:>9.4}s  relaxed {:>9.0}   [flat reference]",
-            PoolKind::WorkStealing.label(),
-            t,
-            n
-        );
-        rows.push(format!("Work-Stealing,any,{t:.6},{n:.1}"));
-    }
+    // As in fig4_scaling: wall time from the threaded run, relaxation
+    // counts from the deterministic lockstep run.
+    let (t, n) = cell(&workloads, PoolKind::WorkStealing, places, 0);
+    println!(
+        "{:<12} (any k)  time {:>9.4}s  relaxed {:>9.0}   [flat reference]",
+        PoolKind::WorkStealing.label(),
+        t,
+        n
+    );
+    rows.push(format!("Work-Stealing,any,{t:.6},{n:.1}"));
 
     for kind in [PoolKind::Centralized, PoolKind::Hybrid] {
         println!();
         for &k in &ks {
-            let mut times = Vec::new();
-            let mut relaxed = Vec::new();
-            for g in &graphs {
-                // SsspConfig::new widens kmax to admit the swept k (the
-                // structure clamps k to kmax); the paper's fixed kmax = 512
-                // applies to its other experiments, while Figure 5
-                // exercises k beyond it.
-                let k_cfg = SsspConfig::new(places, k);
-                let timed = run_sssp_kind(kind, g, 0, &k_cfg);
-                times.push(timed.elapsed.as_secs_f64());
-                let ordered = run_sssp_lockstep_kind(kind, g, 0, &k_cfg);
-                relaxed.push(ordered.relaxed as f64);
-            }
-            let t = mean(times.iter().copied());
-            let n = mean(relaxed.iter().copied());
+            let (t, n) = cell(&workloads, kind, places, k);
             println!(
                 "{:<12} k={:<6} time {:>9.4}s  relaxed {:>9.0}  (+{:.1}% useless)",
                 kind.label(),

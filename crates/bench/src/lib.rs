@@ -11,6 +11,12 @@
 //! | `fig4_scaling`    | Figure 4     | time & nodes relaxed vs P (k = 512) |
 //! | `fig5_k_sweep`    | Figure 5     | time & nodes relaxed vs k (P fixed) |
 //!
+//! Figures 4–5 run `priosched_workloads::SsspWorkload` twice per cell,
+//! each run verified against Dijkstra: `time` comes from `run_workload`
+//! (threaded wall clock) and `nodes relaxed` (plus Figure 4's `dead`)
+//! from `run_workload_lockstep`, which interleaves the P places task by
+//! task on one thread so the counts are deterministic on any host.
+//!
 //! All binaries accept the same flags (parsed by [`HarnessConfig`]):
 //!
 //! * `--full` — the paper's workload: n = 10000, p = 0.5, 20 graphs

@@ -10,8 +10,10 @@
 //!   the whole scheduling loop stays monomorphized per structure exactly as
 //!   if the concrete type had been named; or
 //! * call [`PoolKind::build`] / [`PoolBuilder::build`] when they need to
-//!   drive place handles themselves (lockstep runners, throughput benches)
-//!   and receive an [`AnyPool`] — a thin enum over the five structures
+//!   want the pool itself — to drive place handles by hand (throughput
+//!   benches) or to schedule it in a mode [`run_on_kind`] does not cover
+//!   ([`Scheduler::run_lockstep`], whose wall clock is meaningless anyway)
+//!   — and receive an [`AnyPool`] — a thin enum over the five structures
 //!   whose [`PoolHandle`] forwards every operation, including the batched
 //!   ones, to the wrapped handle. The per-operation cost is one predictable
 //!   branch.

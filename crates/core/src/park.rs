@@ -549,10 +549,13 @@ mod tests {
                 parker.worker_park(0, token);
             })
         };
-        while parker.idle_workers.load(Ordering::Acquire) == 0 {
-            std::hint::spin_loop();
+        // `worker_prepare` raises `idle_workers` before it reads the slot's
+        // epoch, so a single broadcast can land in between and the worker
+        // then parks on the newer token. Broadcast until it has left.
+        while !t.is_finished() {
+            parker.wake_workers_if_idle();
+            std::thread::yield_now();
         }
-        parker.wake_workers_if_idle();
         t.join().unwrap();
     }
 

@@ -702,28 +702,117 @@ impl<Pool> Scheduler<Pool> {
             }
         });
 
-        // AbortRun keeps the historical contract: the closed-world entry
-        // points re-raise the panic on the caller. Isolate returns
-        // normally with the failures on the stats.
-        if let Some(payload) = faults.take_payload() {
-            std::panic::resume_unwind(payload);
-        }
-        let elapsed = start.elapsed();
-        let mut stats = RunStats {
-            elapsed,
-            failed: faults.failed(),
-            failures: faults.take_failures(),
-            per_place_executed: per_place.iter().map(|(e, _, _)| *e).collect(),
-            ..RunStats::default()
-        };
-        for (executed, dead, pool_stats) in per_place {
-            stats.executed += executed;
-            stats.dead += dead;
-            stats.pool.merge(&pool_stats);
-        }
+        let stats = fold_run(start, &faults, per_place);
         debug_assert_eq!(pending.load(Ordering::Acquire), 0);
         stats
     }
+
+    /// Runs `roots` to completion on the calling thread alone, servicing
+    /// the places round-robin: each round gives every place one pop and,
+    /// if the pop hit, runs that task, until no task is outstanding.
+    ///
+    /// The paper measured useless work (Figures 4–5, "nodes relaxed") on
+    /// an 80-core machine, where it emerges from truly concurrent places.
+    /// On a host with few hardware threads the OS runs each worker for
+    /// whole timeslices, which hides that interleaving: a work-stealing
+    /// place that runs alone for a quantum behaves like sequential
+    /// Dijkstra. This mode restores the interleaving deterministically —
+    /// the task-granular analog of the phase model's "up to P nodes
+    /// relaxed per phase" (§5.2.1). Every push and pop still goes through
+    /// the real place handles and every task through the same dead-task
+    /// check, executor and spawn path as [`Scheduler::run`], so the
+    /// ordering behaviour measured is exactly the structure's; only the
+    /// physical concurrency is virtual. With a deterministic executor,
+    /// two runs give identical counts.
+    ///
+    /// `RunStats::elapsed` is reported but meaningless here: one thread
+    /// does the work of all places, so time the threaded
+    /// [`Scheduler::run`] instead.
+    ///
+    /// Faults follow [`Scheduler::run`]: under `AbortRun` the first panic
+    /// stops the rounds and is re-raised here; under `Isolate` it is
+    /// recorded and the run continues.
+    pub fn run_lockstep<T, E>(&self, executor: &E, roots: Vec<(u64, usize, T)>) -> RunStats
+    where
+        T: Send + 'static,
+        E: TaskExecutor<T>,
+        Pool: TaskPool<T>,
+    {
+        let pending = AtomicU64::new(roots.len() as u64);
+        let abort = AtomicBool::new(false);
+        let faults = FaultCell::new(self.fault_policy);
+        let start = Instant::now();
+        let mut handles: Vec<Pool::Handle> = (0..self.pool.num_places())
+            .map(|place| self.pool.handle(place))
+            .collect();
+        for (prio, k, task) in roots {
+            handles[0].push(prio, k, task);
+        }
+        let mut places: Vec<SpawnCtx<'_, T>> = handles
+            .iter_mut()
+            .enumerate()
+            .map(|(place, handle)| SpawnCtx {
+                handle,
+                pending: &pending,
+                executor,
+                abort: &abort,
+                faults: &faults,
+                place,
+                executed: 0,
+                dead: 0,
+                batch_buf: Vec::new(),
+                ingress: None,
+                ingest_scratch: Vec::new(),
+                ingest_kbatch: Vec::new(),
+            })
+            .collect();
+        'rounds: while pending.load(Ordering::Acquire) > 0 {
+            for ctx in &mut places {
+                if abort.load(Ordering::Acquire) {
+                    break 'rounds;
+                }
+                if let Some((prio, task)) = ctx.handle.pop_entry() {
+                    ctx.run_one(prio, task);
+                }
+            }
+        }
+        let per_place = places
+            .into_iter()
+            .map(|ctx| (ctx.executed, ctx.dead, ctx.handle.stats()))
+            .collect();
+        fold_run(start, &faults, per_place)
+    }
+}
+
+/// Folds per-place `(executed, dead, pool stats)` into a run's
+/// [`RunStats`]; shared by [`Scheduler::run`]/[`Scheduler::run_stream`]
+/// and [`Scheduler::run_lockstep`].
+///
+/// `AbortRun` keeps the historical contract: the closed-world entry
+/// points re-raise the panic on the caller. `Isolate` returns normally
+/// with the failures on the stats.
+fn fold_run(
+    start: Instant,
+    faults: &FaultCell,
+    per_place: Vec<(u64, u64, PlaceStats)>,
+) -> RunStats {
+    if let Some(payload) = faults.take_payload() {
+        std::panic::resume_unwind(payload);
+    }
+    let elapsed = start.elapsed();
+    let mut stats = RunStats {
+        elapsed,
+        failed: faults.failed(),
+        failures: faults.take_failures(),
+        per_place_executed: per_place.iter().map(|(e, _, _)| *e).collect(),
+        ..RunStats::default()
+    };
+    for (executed, dead, pool_stats) in per_place {
+        stats.executed += executed;
+        stats.dead += dead;
+        stats.pool.merge(&pool_stats);
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -885,6 +974,72 @@ mod tests {
             .copied()
             .unwrap_or("<non-str payload>");
         assert!(msg.contains("boom at 13"), "got: {msg}");
+    }
+
+    /// `run_lockstep` re-raises an `AbortRun` panic exactly as `run` does,
+    /// and under `Isolate` quarantines it and runs everything else.
+    #[test]
+    fn run_lockstep_handles_faults_like_run() {
+        let roots = || (0..50u64).map(|i| (i, 0usize, i)).collect::<Vec<_>>();
+        let sched = Scheduler::from_pool(PriorityWorkStealing::new(2));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sched.run_lockstep(&PanicOn13, roots())
+        }))
+        .expect_err("panic must propagate");
+        let msg = err
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("<non-str payload>");
+        assert!(msg.contains("boom at 13"), "got: {msg}");
+
+        let stats = Scheduler::from_pool(PriorityWorkStealing::new(2))
+            .with_fault_policy(FaultPolicy::Isolate)
+            .run_lockstep(&PanicOn13, roots());
+        assert_eq!((stats.failed, stats.executed), (1, 49));
+    }
+
+    /// Spawns over a small id space; an id is dead once it has run, so
+    /// `executed`/`dead` depend on the order the pool hands tasks out.
+    struct FirstVisit {
+        seen: parking_lot::Mutex<Vec<bool>>,
+    }
+    impl TaskExecutor<u64> for FirstVisit {
+        fn execute(&self, id: u64, ctx: &mut SpawnCtx<'_, u64>) {
+            self.seen.lock()[id as usize] = true;
+            for c in 1..=3u64 {
+                let child = (id * 7 + c * 13) % 256;
+                if !self.seen.lock()[child as usize] {
+                    ctx.spawn(child * 37 % 101, 8, child);
+                }
+            }
+        }
+        fn is_dead(&self, id: &u64) -> bool {
+            self.seen.lock()[*id as usize]
+        }
+    }
+
+    /// Lockstep runs are deterministic: the same order-dependent workload
+    /// twice gives identical counts, per place too, on every structure.
+    #[test]
+    fn run_lockstep_is_deterministic() {
+        use crate::pool::{PoolKind, PoolParams};
+        for kind in PoolKind::ALL {
+            let run = || {
+                let exec = FirstVisit {
+                    seen: parking_lot::Mutex::new(vec![false; 256]),
+                };
+                Scheduler::from_pool(kind.build(4, PoolParams::with_k(8)))
+                    .run_lockstep(&exec, vec![(0, 8, 0u64)])
+            };
+            let (a, b) = (run(), run());
+            assert!(a.dead > 0, "{kind}: the workload must produce dead tasks");
+            assert_eq!(a.per_place_executed.len(), 4, "{kind}");
+            assert_eq!(
+                (a.executed, a.dead, &a.per_place_executed),
+                (b.executed, b.dead, &b.per_place_executed),
+                "{kind}"
+            );
+        }
     }
 
     /// Under `Isolate` the same panicking workload completes: the failure

@@ -15,120 +15,15 @@
 //! choice of scheduling data structure controls, and what Figures 4–5
 //! measure as "nodes relaxed" beyond the graph's `n`.
 //!
-//! Entry points: [`run_sssp`] over any [`priosched_core::TaskPool`], and [`run_sssp_kind`]
-//! selecting a paper structure by [`priosched_core::PoolKind`].
+//! Entry points: this crate holds the task ([`SsspTask`]), Listing 5's
+//! executor ([`SsspExecutor`]) and the distance array
+//! ([`AtomicDistances`]). Runs go through `priosched-workloads`:
+//! `SsspWorkload` with `run_workload` (threaded, timed) or
+//! `run_workload_lockstep` (deterministic interleaving, the figures'
+//! "nodes relaxed"), both verified against Dijkstra.
 
 pub mod distances;
 pub mod executor;
-pub mod lockstep;
-pub mod runner;
 
 pub use distances::AtomicDistances;
 pub use executor::{SsspExecutor, SsspTask};
-pub use lockstep::{run_sssp_lockstep, run_sssp_lockstep_kind};
-pub use runner::{run_sssp, run_sssp_kind, SsspConfig, SsspResult};
-
-#[cfg(test)]
-mod integration_tests {
-    use super::*;
-    use priosched_core::PoolKind;
-    use priosched_graph::{dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
-
-    fn check_against_dijkstra(
-        graph: &CsrGraph,
-        source: u32,
-        kind: PoolKind,
-        places: usize,
-        k: usize,
-    ) {
-        let cfg = SsspConfig::new(places, k);
-        let res = run_sssp_kind(kind, graph, source, &cfg);
-        let expect = dijkstra(graph, source);
-        assert_eq!(
-            res.dist, expect.dist,
-            "{kind} places={places} k={k}: distances diverge"
-        );
-        let reachable = expect.dist.iter().filter(|d| d.is_finite()).count() as u64;
-        assert!(
-            res.relaxed >= reachable,
-            "{kind}: fewer relaxations than reachable nodes"
-        );
-    }
-
-    #[test]
-    fn all_structures_match_dijkstra_small_graph() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 150,
-            p: 0.08,
-            seed: 21,
-        });
-        for kind in PoolKind::ALL {
-            check_against_dijkstra(&g, 0, kind, 2, 16);
-        }
-    }
-
-    #[test]
-    fn all_structures_match_dijkstra_various_sources() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 120,
-            p: 0.1,
-            seed: 33,
-        });
-        for source in [0u32, 7, 119] {
-            for kind in PoolKind::PAPER {
-                check_against_dijkstra(&g, source, kind, 3, 8);
-            }
-        }
-    }
-
-    #[test]
-    fn single_place_performs_no_useless_work() {
-        // With one place every structure degenerates to a strict sequential
-        // priority queue, i.e. Dijkstra's order: relaxations == reachable.
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 200,
-            p: 0.05,
-            seed: 5,
-        });
-        let expect = dijkstra(&g, 0);
-        let reachable = expect.dist.iter().filter(|d| d.is_finite()).count() as u64;
-        for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(1, 512);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect.dist);
-            assert_eq!(
-                res.relaxed, reachable,
-                "{kind}: single place must relax each node exactly once"
-            );
-        }
-    }
-
-    #[test]
-    fn disconnected_graph_leaves_infinities() {
-        let g = CsrGraph::from_undirected_edges(5, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        let cfg = SsspConfig::new(2, 4);
-        let res = run_sssp_kind(PoolKind::Hybrid, &g, 0, &cfg);
-        assert_eq!(res.dist[0], 0.0);
-        assert_eq!(res.dist[1], 1.0);
-        assert!(res.dist[2].is_infinite());
-        assert!(res.dist[3].is_infinite());
-        assert!(res.dist[4].is_infinite());
-    }
-
-    #[test]
-    fn k_extremes_still_correct() {
-        let g = erdos_renyi(&ErdosRenyiConfig {
-            n: 100,
-            p: 0.1,
-            seed: 77,
-        });
-        let expect = dijkstra(&g, 0).dist;
-        for k in [0usize, 1, 32768] {
-            for kind in PoolKind::PAPER {
-                let cfg = SsspConfig::new(4, k);
-                let res = run_sssp_kind(kind, &g, 0, &cfg);
-                assert_eq!(res.dist, expect, "{kind} k={k}");
-            }
-        }
-    }
-}

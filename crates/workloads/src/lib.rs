@@ -29,7 +29,9 @@
 //! the scheduler drains — checks the executor's final state against the
 //! oracle. [`run_workload`] drives one `(kind, places, params)` cell
 //! through [`priosched_core::run_on_kind`] and folds everything into a
-//! [`WorkloadReport`]; [`run_workload_streamed`] drives the same cell
+//! [`WorkloadReport`]; [`run_workload_lockstep`] drives it on one thread
+//! with the places interleaved task by task (the figures' deterministic
+//! "nodes relaxed" counts); [`run_workload_streamed`] drives the same cell
 //! open-world — the seeds travel through sharded ingestion lanes from N
 //! producer threads while the pool is already draining — and the *same*
 //! oracle verifies the result, so the streamed path earns the identical
@@ -41,7 +43,8 @@
 //! or reorders beyond its ρ bound produces *wrong answers* here (missing
 //! distances, a non-optimal knapsack value, an incomplete Pareto front),
 //! not just slower runs. The `oracle_matrix` integration test pins every
-//! workload × every [`PoolKind`] × {1, 4} places to its oracle.
+//! workload × every [`PoolKind`] × {1, 4} places to its oracle, threaded
+//! and lockstep.
 //!
 //! Sweeping is the job of the `schedbench` binary in `priosched-bench`,
 //! which iterates [`DynWorkload`] trait objects over workload × kind ×
@@ -63,7 +66,8 @@ pub use sssp::SsspWorkload;
 
 use priosched_core::stats::PlaceStats;
 use priosched_core::{
-    run_on_kind, run_stream_on_kind, IngressLanes, PoolKind, PoolParams, RunStats, TaskExecutor,
+    run_on_kind, run_stream_on_kind, IngressLanes, PoolKind, PoolParams, RunStats, Scheduler,
+    TaskExecutor,
 };
 use std::time::Duration;
 
@@ -128,6 +132,14 @@ pub struct WorkloadReport {
 }
 
 impl WorkloadReport {
+    /// The workload-specific metric `name`, if the workload reports it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
     /// `true` when the run matched its sequential oracle.
     pub fn verified(&self) -> bool {
         self.verify.is_ok()
@@ -198,8 +210,40 @@ pub fn run_workload<W: Workload + ?Sized>(
     let exec = workload.executor(&params);
     let roots = workload.seed(&exec, &params);
     let run = run_on_kind(kind, places, params, &exec, roots);
-    let verify = workload.verify(&exec, &run);
-    let metrics = workload.metrics(&exec, &run);
+    report(workload, kind, places, params, &exec, run)
+}
+
+/// Lockstep variant of [`run_workload`]: the same cell on one thread that
+/// services the places round-robin, one task per place per round (see
+/// [`Scheduler::run_lockstep`]).
+///
+/// This is where the figures' "nodes relaxed" counts come from: the
+/// interleaving of P places is reproduced deterministically whatever the
+/// host's core count, and the run is verified against the same oracle.
+/// `elapsed` is meaningless here; time the cell with [`run_workload`].
+pub fn run_workload_lockstep<W: Workload + ?Sized>(
+    workload: &W,
+    kind: PoolKind,
+    places: usize,
+    params: PoolParams,
+) -> WorkloadReport {
+    let exec = workload.executor(&params);
+    let roots = workload.seed(&exec, &params);
+    let run = Scheduler::from_pool(kind.build(places, params))
+        .with_fault_policy(params.fault_policy)
+        .run_lockstep(&exec, roots);
+    report(workload, kind, places, params, &exec, run)
+}
+
+/// Verifies a finished run and folds it into a [`WorkloadReport`].
+fn report<W: Workload + ?Sized>(
+    workload: &W,
+    kind: PoolKind,
+    places: usize,
+    params: PoolParams,
+    exec: &W::Exec<'_>,
+    run: RunStats,
+) -> WorkloadReport {
     WorkloadReport {
         workload: workload.name(),
         kind,
@@ -208,9 +252,9 @@ pub fn run_workload<W: Workload + ?Sized>(
         executed: run.executed,
         dead: run.dead,
         elapsed: run.elapsed,
+        verify: workload.verify(exec, &run),
+        metrics: workload.metrics(exec, &run),
         pool: run.pool,
-        verify,
-        metrics,
     }
 }
 
@@ -275,20 +319,7 @@ pub fn run_workload_streamed<W: Workload + ?Sized>(
         }
         run_stream_on_kind(kind, places, params, &exec, Vec::new(), &ingress)
     });
-    let verify = workload.verify(&exec, &run);
-    let metrics = workload.metrics(&exec, &run);
-    WorkloadReport {
-        workload: workload.name(),
-        kind,
-        places,
-        params,
-        executed: run.executed,
-        dead: run.dead,
-        elapsed: run.elapsed,
-        pool: run.pool,
-        verify,
-        metrics,
-    }
+    report(workload, kind, places, params, &exec, run)
 }
 
 /// Object-safe view over [`Workload`], so heterogeneous workloads (whose
@@ -391,5 +422,137 @@ mod tests {
             metrics: Vec::new(),
         };
         report.expect_verified();
+    }
+}
+
+/// The paper's SSSP end to end through both drivers, [`run_workload`]
+/// (threaded) and [`run_workload_lockstep`]; every run is verified against
+/// Dijkstra, which checks distances and `relaxed >= reachable`.
+#[cfg(test)]
+mod integration_tests {
+    use super::*;
+    use priosched_graph::{erdos_renyi, CsrGraph, ErdosRenyiConfig};
+
+    fn relaxed(report: &WorkloadReport) -> u64 {
+        report.metric("relaxed").expect("sssp reports relaxed") as u64
+    }
+
+    fn reachable(w: &SsspWorkload) -> u64 {
+        w.oracle().iter().filter(|d| d.is_finite()).count() as u64
+    }
+
+    #[test]
+    fn all_structures_match_dijkstra_small_graph() {
+        let w = SsspWorkload::random(150, 0.08, 21);
+        for kind in PoolKind::ALL {
+            run_workload(&w, kind, 2, PoolParams::with_k(16)).expect_verified();
+        }
+    }
+
+    #[test]
+    fn all_structures_match_dijkstra_various_sources() {
+        let g = erdos_renyi(&ErdosRenyiConfig {
+            n: 120,
+            p: 0.1,
+            seed: 33,
+        });
+        for source in [0u32, 7, 119] {
+            let w = SsspWorkload::new(g.clone(), source);
+            for kind in PoolKind::PAPER {
+                run_workload(&w, kind, 3, PoolParams::with_k(8)).expect_verified();
+            }
+        }
+    }
+
+    /// With one place every structure degenerates to a strict sequential
+    /// priority queue, i.e. Dijkstra's order: relaxations == reachable.
+    #[test]
+    fn single_place_performs_no_useless_work() {
+        let w = SsspWorkload::random(200, 0.05, 5);
+        for kind in PoolKind::PAPER {
+            let report = run_workload(&w, kind, 1, PoolParams::with_k(512));
+            report.expect_verified();
+            assert_eq!(
+                relaxed(&report),
+                reachable(&w),
+                "{kind}: single place must relax each node exactly once"
+            );
+        }
+    }
+
+    #[test]
+    fn lockstep_single_place_is_dijkstra_order() {
+        let w = SsspWorkload::random(200, 0.05, 45);
+        for kind in PoolKind::PAPER {
+            let report = run_workload_lockstep(&w, kind, 1, PoolParams::with_k(512));
+            report.expect_verified();
+            assert_eq!(relaxed(&report), reachable(&w), "{kind}");
+        }
+    }
+
+    #[test]
+    fn disconnected_graph_leaves_infinities() {
+        let g = CsrGraph::from_undirected_edges(5, &[(0, 1, 1.0), (2, 3, 1.0)]);
+        let w = SsspWorkload::new(g, 0);
+        run_workload(&w, PoolKind::Hybrid, 2, PoolParams::with_k(4)).expect_verified();
+        assert_eq!(&w.oracle()[..2], &[0.0, 1.0]);
+        assert!(w.oracle()[2..].iter().all(|d| d.is_infinite()));
+    }
+
+    #[test]
+    fn k_extremes_still_correct() {
+        let w = SsspWorkload::random(100, 0.1, 77);
+        for k in [0usize, 1, 32768] {
+            for kind in PoolKind::PAPER {
+                run_workload(&w, kind, 4, PoolParams::with_k(k)).expect_verified();
+            }
+        }
+    }
+
+    /// Every relaxation spawns through the pool, so the pushes cover all
+    /// relaxed nodes but the root.
+    #[test]
+    fn pool_pushes_cover_relaxations() {
+        let w = SsspWorkload::random(80, 0.15, 3);
+        let params = PoolParams {
+            kmax: 64,
+            ..PoolParams::with_k(8)
+        };
+        let report = run_workload(&w, PoolKind::Hybrid, 2, params);
+        report.expect_verified();
+        assert!(relaxed(&report) >= 80);
+        assert!(report.pool.pushes >= relaxed(&report) - 1);
+    }
+
+    #[test]
+    fn lockstep_matches_dijkstra_for_all_structures() {
+        let w = SsspWorkload::random(150, 0.08, 44);
+        for kind in PoolKind::ALL {
+            run_workload_lockstep(&w, kind, 8, PoolParams::with_k(32)).expect_verified();
+        }
+    }
+
+    /// The headline ordering claim of Figure 4b, reproduced
+    /// deterministically: under interleaved execution work-stealing
+    /// performs more useless work than the relaxed global structures.
+    #[test]
+    fn workstealing_wastes_more_work_than_k_structures() {
+        let w = SsspWorkload::random(400, 0.5, 46);
+        let relaxed_on = |kind| {
+            let report = run_workload_lockstep(&w, kind, 32, PoolParams::with_k(64));
+            report.expect_verified();
+            relaxed(&report)
+        };
+        let ws = relaxed_on(PoolKind::WorkStealing);
+        let ce = relaxed_on(PoolKind::Centralized);
+        let hy = relaxed_on(PoolKind::Hybrid);
+        assert!(
+            ws > ce && ws > hy,
+            "work-stealing must waste the most work: ws={ws} centralized={ce} hybrid={hy}"
+        );
+        assert!(
+            ce >= 400 && hy >= 400,
+            "every reachable node relaxed at least once"
+        );
     }
 }

@@ -108,6 +108,11 @@ impl Workload for SsspWorkload {
         Ok(())
     }
 
+    /// `relaxed` (the figures' "nodes relaxed"), `useless` (relaxations
+    /// beyond the reachable nodes) and `late_dead`: tasks that passed the
+    /// pop-time dead check but lost Listing 5's in-task re-check. The
+    /// report's `dead` counts only the pop-time eliminations, so the
+    /// run's dead-task total is `dead + late_dead`.
     fn metrics(&self, exec: &SsspExecutor<'_>, _run: &RunStats) -> Vec<(&'static str, f64)> {
         vec![
             ("relaxed", exec.relaxed() as f64),
@@ -115,6 +120,7 @@ impl Workload for SsspWorkload {
                 "useless",
                 exec.relaxed().saturating_sub(self.reachable) as f64,
             ),
+            ("late_dead", exec.late_dead() as f64),
         ]
     }
 }
@@ -122,7 +128,7 @@ impl Workload for SsspWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_workload;
+    use crate::{run_workload, run_workload_lockstep};
     use priosched_core::PoolKind;
 
     #[test]
@@ -148,6 +154,18 @@ mod tests {
             let w = SsspWorkload::new(g.clone(), 0).spawn_chunk(chunk);
             run_workload(&w, PoolKind::Centralized, 2, PoolParams::with_k(32)).expect_verified();
         }
+    }
+
+    /// With the pop-time check off, every superseded task reaches the
+    /// in-task re-check: the report's `dead` is 0 and the dead tasks show
+    /// up only as `late_dead`.
+    #[test]
+    fn late_dead_reports_dead_tasks_without_elimination() {
+        let w = SsspWorkload::random(200, 0.3, 9).without_dead_elimination();
+        let report = run_workload_lockstep(&w, PoolKind::Hybrid, 4, PoolParams::with_k(16));
+        report.expect_verified();
+        assert_eq!(report.dead, 0);
+        assert!(report.metric("late_dead").expect("sssp reports late_dead") > 0.0);
     }
 
     #[test]

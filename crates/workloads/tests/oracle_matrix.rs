@@ -1,5 +1,6 @@
 //! Cross-matrix oracle coverage: every workload must match its sequential
-//! oracle on every structure at 1 and 4 places.
+//! oracle on every structure at 1 and 4 places, threaded, lockstep and
+//! streamed.
 //!
 //! This is the contract that keeps example-derived workloads from rotting:
 //! SSSP against Dijkstra, Cholesky against the dense sequential
@@ -10,8 +11,8 @@
 
 use priosched_core::{PoolKind, PoolParams};
 use priosched_workloads::{
-    BfsWorkload, CholeskyWorkload, DynWorkload, KnapsackWorkload, MoSsspWorkload, MstWorkload,
-    SsspWorkload,
+    run_workload_lockstep, BfsWorkload, CholeskyWorkload, DynWorkload, KnapsackWorkload,
+    MoSsspWorkload, MstWorkload, SsspWorkload, Workload,
 };
 
 fn matrix(workload: &dyn DynWorkload, params: PoolParams) {
@@ -64,6 +65,41 @@ fn bfs_matches_sequential_bfs_across_matrix() {
 fn mst_matches_kruskal_across_matrix() {
     let w = MstWorkload::random(150, 0.05, 23);
     matrix(&w, PoolParams::with_k(32));
+}
+
+fn lockstep_matrix<W: Workload>(workload: &W, params: PoolParams) {
+    for kind in PoolKind::ALL {
+        for places in [1usize, 4] {
+            let report = run_workload_lockstep(workload, kind, places, params);
+            report.expect_verified();
+            assert!(
+                report.executed > 0,
+                "{} lockstep on {kind}: nothing executed",
+                workload.name()
+            );
+        }
+    }
+}
+
+/// The lockstep acceptance matrix: every workload of the threaded matrix
+/// above, on the same instance, driven by one thread that interleaves the
+/// places task by task (`Scheduler::run_lockstep`, the source of the
+/// figures' "nodes relaxed"), must match its sequential oracle on all five
+/// structures at 1 and 4 places.
+#[test]
+fn lockstep_matches_oracles_across_matrix() {
+    lockstep_matrix(&SsspWorkload::random(150, 0.08, 44), PoolParams::with_k(32));
+    lockstep_matrix(
+        &CholeskyWorkload::random(4, 8, 0xFEED_FACE),
+        PoolParams::with_k(16),
+    );
+    lockstep_matrix(
+        &KnapsackWorkload::random(26, 2_500, 0x1234_5678_9ABC_DEF0),
+        PoolParams::with_k(64),
+    );
+    lockstep_matrix(&MoSsspWorkload::random(45, 0.1, 99), PoolParams::with_k(8));
+    lockstep_matrix(&BfsWorkload::random(160, 0.06, 77), PoolParams::with_k(32));
+    lockstep_matrix(&MstWorkload::random(150, 0.05, 23), PoolParams::with_k(32));
 }
 
 /// The streamed acceptance matrix: every workload, driven through

@@ -4,16 +4,16 @@
 //!
 //! Run with: `cargo run --release --example sssp_random_graph [n] [p]`
 
-use priosched::core::PoolKind;
+use priosched::core::{PoolKind, PoolParams};
 use priosched::graph::{dijkstra, erdos_renyi, ErdosRenyiConfig};
-use priosched::sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched::workloads::{run_workload, run_workload_lockstep, SsspWorkload};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().map(|a| a.parse().unwrap()).unwrap_or(1500);
     let p: f64 = args.next().map(|a| a.parse().unwrap()).unwrap_or(0.5);
     let places = 8;
-    let k = 512;
+    let params = PoolParams::with_k(512);
 
     println!("generating G(n = {n}, p = {p}) with U(0,1] weights …");
     let graph = erdos_renyi(&ErdosRenyiConfig { n, p, seed: 42 });
@@ -34,20 +34,22 @@ fn main() {
         "Sequential", seq_time, seq.relaxations
     );
 
-    let cfg = SsspConfig::new(places, k);
+    let workload = SsspWorkload::new(graph, 0);
     for kind in PoolKind::PAPER {
         // Threaded run: correctness + wall time on this host.
-        let res = run_sssp_kind(kind, &graph, 0, &cfg);
-        assert_eq!(res.dist, seq.dist, "{kind}: wrong distances!");
+        let res = run_workload(&workload, kind, places, params);
+        res.expect_verified();
         // Lockstep run: deterministic interleaving, the useless-work signal.
-        let ordered = run_sssp_lockstep_kind(kind, &graph, 0, &cfg);
-        let useless = ordered.relaxed as i64 - reachable as i64;
+        let ordered = run_workload_lockstep(&workload, kind, places, params);
+        ordered.expect_verified();
+        let relaxed = ordered.metric("relaxed").unwrap_or(0.0) as i64;
+        let dead = ordered.dead + ordered.metric("late_dead").unwrap_or(0.0) as u64;
         println!(
-            "{:<14} {:>10.2?}  relaxed {:>7}  (+{useless} useless under {places}-way interleaving, dead {})",
+            "{:<14} {:>10.2?}  relaxed {:>7}  (+{} useless under {places}-way interleaving, dead {dead})",
             kind.label(),
             res.elapsed,
-            ordered.relaxed,
-            ordered.dead,
+            relaxed,
+            relaxed - reachable as i64,
         );
     }
 

@@ -14,13 +14,15 @@
 //! * [`core`] — the data structures and scheduler;
 //! * [`pq`] — sequential priority queues (place-local components);
 //! * [`graph`] — Erdős–Rényi graphs + sequential Dijkstra baseline;
-//! * [`sssp`] — the parallel SSSP application;
+//! * [`sssp`] — the parallel SSSP application's task, Listing 5
+//!   executor and distance array (run it as `workloads::SsspWorkload`);
 //! * [`sim`] — phase simulator + Theorem 5 bounds;
 //! * [`workloads`] — first-class benchmark workloads (SSSP, BFS, tile
 //!   Cholesky, branch-and-bound knapsack, bi-objective SSSP, MST), each
 //!   verified against a sequential oracle and sweepable by the `schedbench`
-//!   harness, preseeded or through sharded ingestion
-//!   (`run_workload_streamed`).
+//!   harness, preseeded, through sharded ingestion
+//!   (`run_workload_streamed`), or with the places interleaved task by
+//!   task on one thread (`run_workload_lockstep`).
 //!
 //! The `priosched-net` crate (not re-exported here — it is a frontend, not
 //! a library layer) serves the pool over TCP: `priosched-serve` accepts

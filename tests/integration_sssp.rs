@@ -3,42 +3,40 @@
 //! configurations and graph families — the correctness backbone behind
 //! Figures 4 and 5.
 
-use priosched::core::PoolKind;
+use priosched::core::{PoolKind, PoolParams};
 use priosched::graph::{bellman_ford, dijkstra, erdos_renyi, CsrGraph, ErdosRenyiConfig};
 use priosched::sim::{simulate_sssp, SimConfig};
-use priosched::sssp::{run_sssp_kind, run_sssp_lockstep_kind, SsspConfig};
+use priosched::workloads::{run_workload, run_workload_lockstep, SsspWorkload};
+
+/// `k` with the centralized window capped at 64.
+fn with_kmax_64(k: usize) -> PoolParams {
+    PoolParams {
+        kmax: 64,
+        ..PoolParams::with_k(k)
+    }
+}
 
 #[test]
 fn grid_of_structures_places_and_k() {
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 180,
-        p: 0.08,
-        seed: 501,
-    });
-    let expect = dijkstra(&g, 0).dist;
+    let w = SsspWorkload::random(180, 0.08, 501);
     for kind in PoolKind::ALL {
         for places in [1usize, 2, 4] {
             for k in [1usize, 16, 512] {
-                let cfg = SsspConfig::new(places, k);
-                let res = run_sssp_kind(kind, &g, 0, &cfg);
-                assert_eq!(res.dist, expect, "{kind} P={places} k={k}");
+                run_workload(&w, kind, places, PoolParams::with_k(k)).expect_verified();
             }
         }
     }
 }
 
+/// Both drivers reproduce Dijkstra's distances (each run is verified
+/// against the workload's oracle), so they agree with each other.
 #[test]
 fn lockstep_and_threaded_agree_with_each_other() {
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 150,
-        p: 0.1,
-        seed: 502,
-    });
+    let w = SsspWorkload::random(150, 0.1, 502);
     for kind in PoolKind::PAPER {
-        let cfg = SsspConfig::new(4, 64);
-        let threaded = run_sssp_kind(kind, &g, 0, &cfg);
-        let lockstep = run_sssp_lockstep_kind(kind, &g, 0, &cfg);
-        assert_eq!(threaded.dist, lockstep.dist, "{kind}");
+        let params = PoolParams::with_k(64);
+        run_workload(&w, kind, 4, params).expect_verified();
+        run_workload_lockstep(&w, kind, 4, params).expect_verified();
     }
 }
 
@@ -54,7 +52,6 @@ fn three_independent_solvers_agree() {
     });
     let a = dijkstra(&g, 3).dist;
     let b = bellman_ford(&g, 3);
-    let c = run_sssp_kind(PoolKind::Hybrid, &g, 3, &SsspConfig::new(3, 32)).dist;
     let d = simulate_sssp(
         &g,
         3,
@@ -66,19 +63,20 @@ fn three_independent_solvers_agree() {
     )
     .dist;
     assert_eq!(a, b);
-    assert_eq!(a, c);
     assert_eq!(a, d);
+    // The parallel run is verified against its Dijkstra oracle, i.e. `a`.
+    let w = SsspWorkload::new(g, 3);
+    assert_eq!(w.oracle(), &a[..]);
+    run_workload(&w, PoolKind::Hybrid, 3, PoolParams::with_k(32)).expect_verified();
 }
 
 #[test]
 fn sparse_and_dense_graph_families() {
     for (n, p, seed) in [(300usize, 0.03f64, 504u64), (80, 0.6, 505), (40, 1.0, 506)] {
-        let g = erdos_renyi(&ErdosRenyiConfig { n, p, seed });
-        let expect = dijkstra(&g, 0).dist;
+        let w = SsspWorkload::random(n, p, seed);
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(2, 8).kmax(64);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect, "{kind} n={n} p={p}");
+            let report = run_workload(&w, kind, 2, with_kmax_64(8));
+            assert!(report.verified(), "{kind} n={n} p={p}: {:?}", report.verify);
         }
     }
 }
@@ -90,12 +88,10 @@ fn pathological_graphs() {
     // Star: maximal fanout from the source.
     let star: Vec<(u32, u32, f32)> = (1..200).map(|i| (0, i, 1.0 / i as f32)).collect();
     for (name, n, edges) in [("path", 200usize, path), ("star", 200, star)] {
-        let g = CsrGraph::from_undirected_edges(n, &edges);
-        let expect = dijkstra(&g, 0).dist;
+        let w = SsspWorkload::new(CsrGraph::from_undirected_edges(n, &edges), 0);
         for kind in PoolKind::PAPER {
-            let cfg = SsspConfig::new(3, 4).kmax(64);
-            let res = run_sssp_kind(kind, &g, 0, &cfg);
-            assert_eq!(res.dist, expect, "{kind} on {name}");
+            let report = run_workload(&w, kind, 3, with_kmax_64(4));
+            assert!(report.verified(), "{kind} on {name}: {:?}", report.verify);
         }
     }
 }
@@ -104,15 +100,15 @@ fn pathological_graphs() {
 fn useless_work_ordering_between_structures_holds_deterministically() {
     // The paper's headline (Fig. 4 right): work-stealing performs the most
     // useless work; the k-structures bound it. Deterministic via lockstep.
-    let g = erdos_renyi(&ErdosRenyiConfig {
-        n: 400,
-        p: 0.5,
-        seed: 507,
-    });
-    let cfg = SsspConfig::new(32, 64);
-    let ws = run_sssp_lockstep_kind(PoolKind::WorkStealing, &g, 0, &cfg).relaxed;
-    let ce = run_sssp_lockstep_kind(PoolKind::Centralized, &g, 0, &cfg).relaxed;
-    let hy = run_sssp_lockstep_kind(PoolKind::Hybrid, &g, 0, &cfg).relaxed;
+    let w = SsspWorkload::random(400, 0.5, 507);
+    let relaxed = |kind| {
+        let report = run_workload_lockstep(&w, kind, 32, PoolParams::with_k(64));
+        report.expect_verified();
+        report.metric("relaxed").expect("sssp reports relaxed")
+    };
+    let ws = relaxed(PoolKind::WorkStealing);
+    let ce = relaxed(PoolKind::Centralized);
+    let hy = relaxed(PoolKind::Hybrid);
     assert!(ws > ce, "ws={ws} centralized={ce}");
     assert!(ws > hy, "ws={ws} hybrid={hy}");
 }
