@@ -1,19 +1,19 @@
 //! Ablation benches, one group per design choice whose alternative is
-//! cheap to build and could plausibly win:
+//! cheap to build and could plausibly win, plus the sequential heap alone:
 //!
 //! 1. randomized vs linear slot placement in the centralized push
 //!    (Listing 1 line 9 — "Randomization is used to improve scalability");
 //! 2. dead-task elimination on vs off (§5.1 lazy removal);
 //! 3. hybrid (temporal ρ-relaxation, lock-free) vs the structural
 //!    prototype (§5.3);
-//! 4. binary heap vs pairing heap as the place-local priority queue
+//! 4. the binary heap every pool uses as its place-local priority queue
 //!    (§4.1: "any sequential implementation … can be used"), on a heap
 //!    that fits in L2 and on one that exceeds the caches.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use priosched_core::centralized::{CentralizedKPriority, Placement};
 use priosched_core::{PoolHandle, PoolKind, PoolParams, TaskPool};
-use priosched_pq::{BinaryHeap, PairingHeap, QuaternaryHeap, SequentialPriorityQueue};
+use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
 use priosched_workloads::{run_workload, SsspWorkload};
 use std::sync::Arc;
 use std::time::Duration;
@@ -147,18 +147,8 @@ fn bench_local_pq(c: &mut Criterion) {
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(2));
     g.bench_function("binary_heap", |b| b.iter(heap_cycle::<BinaryHeap<u64>>));
-    g.bench_function("pairing_heap", |b| b.iter(heap_cycle::<PairingHeap<u64>>));
-    g.bench_function("quaternary_heap", |b| {
-        b.iter(heap_cycle::<QuaternaryHeap<u64>>)
-    });
     g.bench_function("binary_heap_200k_x32B", |b| {
         b.iter(large_heap_cycle::<BinaryHeap<Entry32>>)
-    });
-    g.bench_function("pairing_heap_200k_x32B", |b| {
-        b.iter(large_heap_cycle::<PairingHeap<Entry32>>)
-    });
-    g.bench_function("quaternary_heap_200k_x32B", |b| {
-        b.iter(large_heap_cycle::<QuaternaryHeap<Entry32>>)
     });
     g.finish();
 }

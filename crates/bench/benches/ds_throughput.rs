@@ -4,9 +4,9 @@
 //! Single-threaded cost per op for each structure (pure overhead ranking),
 //! a small contended producer/consumer scenario, the scalar-vs-batched
 //! comparison for the batch API (`push_batch`/`try_pop_batch`) at batch
-//! sizes 1/8/32/128, and the flat-combining A/B on the structural pool
-//! (`ds_combine`: delegation vs plain mutex, throughput plus per-op
-//! p50/p99/p999 from an HDR-style histogram).
+//! sizes 1/8/32/128, and the structural pool's flat-combined shared heap
+//! under contention (`ds_combine`: throughput plus per-op p50/p99/p999
+//! from an HDR-style histogram).
 //!
 //! To record a JSON baseline (e.g. the committed `BENCH_batch.json`):
 //! `CRITERION_JSON_OUT=BENCH_batch.json cargo bench --bench ds_throughput -- ds_batch`
@@ -213,17 +213,11 @@ fn bench_batch_contended(c: &mut Criterion) {
     g.finish();
 }
 
-/// Structural pool with the combining toggle explicit; everything else as
-/// in [`pool`].
-fn combine_pool(places: usize, combine: bool) -> Arc<AnyPool<u64>> {
-    Arc::new(PoolKind::Structural.build(places, PoolParams::with_k(64).with_combining(combine)))
-}
-
 /// [`contended_cycle`] with every push/pop individually timed into a
 /// per-thread [`LatencyHist`], merged across threads at the end. The
-/// `Instant` pair adds a fixed cost to every op, identical across modes,
-/// so combining-vs-mutex percentile *comparisons* stay fair even though
-/// absolute numbers shift slightly.
+/// `Instant` pair adds a fixed cost to every op, so percentile
+/// *comparisons* across place counts stay fair even though absolute
+/// numbers shift slightly.
 fn contended_cycle_timed(pool: Arc<AnyPool<u64>>, threads: usize) -> LatencyHist {
     let merged = Mutex::new(LatencyHist::new());
     let per = OPS / threads as u64;
@@ -260,13 +254,14 @@ fn contended_cycle_timed(pool: Arc<AnyPool<u64>>, threads: usize) -> LatencyHist
     merged.into_inner().unwrap()
 }
 
-/// Flat combining vs the plain shared-heap mutex on the structural pool —
-/// the A/B the combiner must win (or at worst tie, at 1 place where the
-/// fast path keeps it off the slot protocol entirely).
+/// The structural pool's flat-combined shared heap (k = 64, so pushes
+/// overflow into it constantly) at 1, 2 and 4 places. At 1 place the
+/// combiner's fast path keeps every op off the slot protocol.
 ///
-/// Two arms per (mode × places) cell: wall-clock throughput via the
-/// normal bencher, and self-measured per-op latency percentiles
-/// (`*_lat/p*` ids carry `p50_ns`/`p99_ns`/`p999_ns` in the JSON dump).
+/// Two arms per place count: wall-clock throughput via the normal
+/// bencher (`combine/p*`), and self-measured per-op latency percentiles
+/// (`combine_lat/p*` ids carry `p50_ns`/`p99_ns`/`p999_ns` in the JSON
+/// dump).
 fn bench_combine(c: &mut Criterion) {
     let mut g = c.benchmark_group("ds_combine");
     g.throughput(Throughput::Elements(2 * OPS));
@@ -274,33 +269,29 @@ fn bench_combine(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2));
     let places_sweep = [1usize, 2, 4];
     for &places in &places_sweep {
-        for (mode, combine) in [("combine", true), ("mutex", false)] {
-            g.bench_with_input(
-                BenchmarkId::new(mode, format!("p{places}")),
-                &places,
-                |b, &p| b.iter(|| contended_cycle(combine_pool(p, combine), p)),
-            );
-        }
+        g.bench_with_input(
+            BenchmarkId::new("combine", format!("p{places}")),
+            &places,
+            |b, &p| b.iter(|| contended_cycle(pool(PoolKind::Structural, p), p)),
+        );
     }
     for &places in &places_sweep {
-        for (mode, combine) in [("combine", true), ("mutex", false)] {
-            let mut hist = LatencyHist::new();
-            for _ in 0..3 {
-                hist.merge(&contended_cycle_timed(
-                    combine_pool(places, combine),
-                    places,
-                ));
-            }
-            g.report_with_percentiles(
-                format!("{mode}_lat/p{places}"),
-                hist.mean_ns(),
-                hist.min_ns() as f64,
-                hist.max_ns() as f64,
-                hist.p50() as f64,
-                hist.p99() as f64,
-                hist.p999() as f64,
-            );
+        let mut hist = LatencyHist::new();
+        for _ in 0..3 {
+            hist.merge(&contended_cycle_timed(
+                pool(PoolKind::Structural, places),
+                places,
+            ));
         }
+        g.report_with_percentiles(
+            format!("combine_lat/p{places}"),
+            hist.mean_ns(),
+            hist.min_ns() as f64,
+            hist.max_ns() as f64,
+            hist.p50() as f64,
+            hist.p99() as f64,
+            hist.p999() as f64,
+        );
     }
     g.finish();
 }

@@ -10,7 +10,7 @@
 //! schedbench [--smoke] [--workloads sssp,bfs,cholesky,knapsack,mo_sssp,mst]
 //!            [--kinds work_stealing,centralized,hybrid,structural,multiqueue]
 //!            [--places 1,2,4] [--k 512] [--chunks 0] [--reps 3]
-//!            [--combining on,off] [--oplat OPS] [--rank-error OPS]
+//!            [--oplat OPS] [--rank-error OPS]
 //!            [--ingest PRODUCERSxCHUNK,…] [--lane-cap N,…]
 //!            [--net CONNSxPER_CONN,…] [--out FILE.json]
 //! ```
@@ -45,18 +45,15 @@
 //!   identical on a same-seed repeat. Emits `schedbench_chaos` records
 //!   carrying the failure-mode counters. Contradicts `--net` and
 //!   `--ingest` (usage error).
-//! * `--combining on,off` A/Bs the structural pool's shared-queue
-//!   backend: `on` routes overflow/pop/raid traffic through the flat
-//!   combiner (the default), `off` through the plain mutex. Off-cells
-//!   only apply to the structural kind (other structures ignore the
-//!   toggle and would produce duplicate rows); their record ids carry a
-//!   `_nocomb` suffix.
 //! * `--oplat OPS` switches to the per-op latency sweep: `places`
 //!   threads per cell each run OPS push/pop cycles against the raw pool
 //!   (no workload, no oracle), every op individually timed into an
 //!   HDR-style histogram ([`priosched_bench::latency::LatencyHist`]);
 //!   records land in group `schedbench_oplat` with `p50_ns`/`p99_ns`/
-//!   `p999_ns` fields — the committed `BENCH_combine.json` baseline.
+//!   `p999_ns` fields. The committed `BENCH_combine.json` was recorded
+//!   with it when the structural pool still had a plain-mutex shared
+//!   queue beside the flat combiner; its `_comb` rows are today's
+//!   `structural` rows.
 //!   Mutually exclusive with `--ingest`/`--net`/`--chaos`.
 //! * `--rank-error OPS` switches to the relaxation-quality sweep: the
 //!   same raw-pool cycle, but MultiQueue cells fan out over the c ×
@@ -84,7 +81,7 @@ use std::path::PathBuf;
 const WORKLOADS: [&str; 6] = ["sssp", "bfs", "cholesky", "knapsack", "mo_sssp", "mst"];
 
 const USAGE: &str = "usage: schedbench [--smoke] [--workloads LIST] [--kinds LIST] \
-     [--places LIST] [--k LIST] [--chunks LIST] [--combining on,off] \
+     [--places LIST] [--k LIST] [--chunks LIST] \
      [--oplat OPS] [--rank-error OPS] [--ingest PxC,…] \
      [--lane-cap N,… (0 = unbounded; requires --ingest or --net)] \
      [--net CxS,…] [--chaos seed=N] [--reps N] [--out FILE]";
@@ -134,10 +131,6 @@ struct Args {
     /// Lane-capacity axis for streamed cells; `None` = unbounded (the `0`
     /// spelling on the command line).
     lane_caps: Vec<Option<usize>>,
-    /// `--combining` axis: shared-queue backend for the structural pool
-    /// (`true` = flat combiner, `false` = plain mutex). Off-cells apply
-    /// only to the structural kind.
-    combining: Vec<bool>,
     /// `--oplat OPS`: per-op latency sweep with OPS cycles per thread.
     oplat: Option<u64>,
     /// `--rank-error OPS`: relaxation-quality sweep — oplat cycle plus a
@@ -177,7 +170,6 @@ impl Args {
             net: Vec::new(),
             chaos: None,
             lane_caps: vec![None],
-            combining: vec![true],
             oplat: None,
             rank_error: None,
             reps: 3,
@@ -235,19 +227,6 @@ impl Args {
                         return Err("--lane-cap: expected at least one capacity".into());
                     }
                 }
-                "--combining" => {
-                    cfg.combining = parse_list::<String>("--combining", take("--combining")?)?
-                        .into_iter()
-                        .map(|v| match v.as_str() {
-                            "on" | "true" => Ok(true),
-                            "off" | "false" => Ok(false),
-                            other => Err(format!("--combining: expected on/off, got {other:?}")),
-                        })
-                        .collect::<Result<Vec<bool>, String>>()?;
-                    if cfg.combining.is_empty() {
-                        return Err("--combining: expected at least one of on/off".into());
-                    }
-                }
                 "--oplat" => {
                     cfg.oplat = Some(
                         take("--oplat")?
@@ -299,11 +278,6 @@ impl Args {
                  contradicts --net/--ingest; pass one"
                     .into(),
             );
-        }
-        if !cfg.combining.contains(&true) && !cfg.kinds.contains(&PoolKind::Structural) {
-            return Err("--combining off only affects the structural pool; include \
-                 structural in --kinds or add on"
-                .into());
         }
         if let Some(ops) = cfg.oplat {
             if ops == 0 {
@@ -385,15 +359,13 @@ fn make_workload(name: &str, smoke: bool, chunk: usize) -> Option<Box<dyn DynWor
 
 /// One aggregated sweep cell in the `BENCH_batch.json` record format
 /// (the shape itself is defined once, in `priosched_workloads`). Streamed
-/// cells extend the id with an `_iPRODUCERSxCHUNK` tag, bounded-lane
-/// cells with `_lcCAP`, and mutex-backend (combining-off) cells with
-/// `_nocomb`.
+/// cells extend the id with an `_iPRODUCERSxCHUNK` tag, and bounded-lane
+/// cells with `_lcCAP`.
 fn json_record(
     reports: &[WorkloadReport],
     chunk: usize,
     ingest: Option<IngestCell>,
     lane_cap: Option<usize>,
-    combining: bool,
 ) -> String {
     let mut suffix = if chunk > 0 {
         format!("_c{chunk}")
@@ -405,9 +377,6 @@ fn json_record(
     }
     if let Some(cap) = lane_cap {
         suffix.push_str(&format!("_lc{cap}"));
-    }
-    if !combining {
-        suffix.push_str("_nocomb");
     }
     bench_record(reports, &suffix)
 }
@@ -470,71 +439,46 @@ fn oplat_cell(
     merged.into_inner().unwrap()
 }
 
-/// Runs the `--oplat` sweep: kind × places × k × combining, each cell a
-/// raw-pool push/pop latency measurement. Emits `schedbench_oplat`
-/// records carrying p50/p99/p999 — the `BENCH_combine.json` generator.
+/// Runs the `--oplat` sweep: kind × places × k, each cell a raw-pool
+/// push/pop latency measurement. Emits `schedbench_oplat` records
+/// carrying p50/p99/p999.
 fn run_oplat_sweep(args: &Args, ops: u64) -> Vec<String> {
     let mut records = Vec::new();
     println!(
-        "{:<14} {:>2} {:>6} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "structure", "P", "k", "queue", "mean", "p50", "p99", "p999", "ops"
+        "{:<14} {:>2} {:>6} | {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "structure", "P", "k", "mean", "p50", "p99", "p999", "ops"
     );
     for &kind in &args.kinds {
         for &places in &args.places {
             for &k in &args.ks {
-                for &comb in &args.combining {
-                    // The toggle only changes the structural pool; a
-                    // combining-off cell for any other kind would just
-                    // duplicate its combining-on row.
-                    if !comb && kind != PoolKind::Structural {
-                        continue;
-                    }
-                    let params = PoolParams::with_k(k).with_combining(comb);
-                    let (hist, _) = oplat_cell(kind, places, params, ops);
-                    let queue = if kind != PoolKind::Structural {
-                        "-"
-                    } else if comb {
-                        "comb"
-                    } else {
-                        "mutex"
-                    };
-                    println!(
-                        "{:<14} {:>2} {:>6} {:>6} | {:>7.1}ns {:>7}ns {:>7}ns {:>7}ns {:>10}",
-                        kind.label(),
-                        places,
-                        k,
-                        queue,
-                        hist.mean_ns(),
-                        hist.p50(),
-                        hist.p99(),
-                        hist.p999(),
-                        hist.count(),
-                    );
-                    let suffix = if kind != PoolKind::Structural {
-                        ""
-                    } else if comb {
-                        "_comb"
-                    } else {
-                        "_nocomb"
-                    };
-                    records.push(format!(
-                        "{{\"group\": \"schedbench_oplat\", \"id\": \"{}/p{}_k{}{}\", \
-                         \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
-                         \"elements\": {}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \
-                         \"p999_ns\": {:.1}}}",
-                        kind.id(),
-                        places,
-                        k,
-                        suffix,
-                        hist.mean_ns(),
-                        hist.min_ns() as f64,
-                        hist.max_ns() as f64,
-                        hist.count(),
-                        hist.p50() as f64,
-                        hist.p99() as f64,
-                        hist.p999() as f64,
-                    ));
-                }
+                let (hist, _) = oplat_cell(kind, places, PoolParams::with_k(k), ops);
+                println!(
+                    "{:<14} {:>2} {:>6} | {:>7.1}ns {:>7}ns {:>7}ns {:>7}ns {:>10}",
+                    kind.label(),
+                    places,
+                    k,
+                    hist.mean_ns(),
+                    hist.p50(),
+                    hist.p99(),
+                    hist.p999(),
+                    hist.count(),
+                );
+                records.push(format!(
+                    "{{\"group\": \"schedbench_oplat\", \"id\": \"{}/p{}_k{}\", \
+                     \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
+                     \"elements\": {}, \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \
+                     \"p999_ns\": {:.1}}}",
+                    kind.id(),
+                    places,
+                    k,
+                    hist.mean_ns(),
+                    hist.min_ns() as f64,
+                    hist.max_ns() as f64,
+                    hist.count(),
+                    hist.p50() as f64,
+                    hist.p99() as f64,
+                    hist.p999() as f64,
+                ));
             }
         }
     }
@@ -963,15 +907,11 @@ fn main() {
     }
     if let Some(ops) = args.oplat {
         println!(
-            "schedbench --oplat: {} kind(s) × places {:?} × k {:?} × combining {:?}, \
+            "schedbench --oplat: {} kind(s) × places {:?} × k {:?}, \
              {ops} push/pop cycles per thread",
             args.kinds.len(),
             args.places,
             args.ks,
-            args.combining
-                .iter()
-                .map(|&c| if c { "on" } else { "off" })
-                .collect::<Vec<_>>(),
         );
         println!("host: {cores} hardware thread(s)\n");
         let records = run_oplat_sweep(&args, ops);
@@ -1037,67 +977,53 @@ fn main() {
                 for &places in &args.places {
                     for &k in &args.ks {
                         for &(mode, lane_cap) in &modes {
-                            for &comb in &args.combining {
-                                // The combining toggle only changes the
-                                // structural pool; off-cells elsewhere
-                                // would duplicate the on-row.
-                                if !comb && kind != PoolKind::Structural {
-                                    continue;
+                            let params = PoolParams::with_k(k).with_lane_capacity(lane_cap);
+                            let reports: Vec<WorkloadReport> = (0..args.reps)
+                                .map(|_| match mode {
+                                    None => workload.run(kind, places, params),
+                                    Some(cell) => workload.run_streamed(
+                                        kind,
+                                        places,
+                                        params,
+                                        cell.producers,
+                                        cell.chunk,
+                                    ),
+                                })
+                                .collect();
+                            let mean_ms = reports
+                                .iter()
+                                .map(|r| r.elapsed.as_secs_f64() * 1e3)
+                                .sum::<f64>()
+                                / reports.len() as f64;
+                            let bad = reports.iter().find(|r| !r.verified());
+                            println!(
+                                "{:<10} {:<14} {:>2} {:>6} {:>6} {:>7} {:>5} | {:>9.3}ms {:>9} {:>7}  {}",
+                                name,
+                                kind.label(),
+                                places,
+                                k,
+                                chunk,
+                                match mode {
+                                    None => "-".to_string(),
+                                    Some(cell) =>
+                                        format!("{}x{}", cell.producers, cell.chunk),
+                                },
+                                lane_cap.map_or("-".to_string(), |c| c.to_string()),
+                                mean_ms,
+                                reports[0].executed,
+                                reports[0].dead,
+                                match bad {
+                                    None => "ok".to_string(),
+                                    Some(r) => format!(
+                                        "MISMATCH: {}",
+                                        r.verify.as_ref().unwrap_err()
+                                    ),
                                 }
-                                let params = PoolParams::with_k(k)
-                                    .with_lane_capacity(lane_cap)
-                                    .with_combining(comb);
-                                let reports: Vec<WorkloadReport> = (0..args.reps)
-                                    .map(|_| match mode {
-                                        None => workload.run(kind, places, params),
-                                        Some(cell) => workload.run_streamed(
-                                            kind,
-                                            places,
-                                            params,
-                                            cell.producers,
-                                            cell.chunk,
-                                        ),
-                                    })
-                                    .collect();
-                                let mean_ms = reports
-                                    .iter()
-                                    .map(|r| r.elapsed.as_secs_f64() * 1e3)
-                                    .sum::<f64>()
-                                    / reports.len() as f64;
-                                let bad = reports.iter().find(|r| !r.verified());
-                                println!(
-                                    "{:<10} {:<14} {:>2} {:>6} {:>6} {:>7} {:>5} | {:>9.3}ms {:>9} {:>7}  {}",
-                                    name,
-                                    if comb {
-                                        kind.label().to_string()
-                                    } else {
-                                        format!("{}+mtx", kind.label())
-                                    },
-                                    places,
-                                    k,
-                                    chunk,
-                                    match mode {
-                                        None => "-".to_string(),
-                                        Some(cell) =>
-                                            format!("{}x{}", cell.producers, cell.chunk),
-                                    },
-                                    lane_cap.map_or("-".to_string(), |c| c.to_string()),
-                                    mean_ms,
-                                    reports[0].executed,
-                                    reports[0].dead,
-                                    match bad {
-                                        None => "ok".to_string(),
-                                        Some(r) => format!(
-                                            "MISMATCH: {}",
-                                            r.verify.as_ref().unwrap_err()
-                                        ),
-                                    }
-                                );
-                                if bad.is_some() {
-                                    failures += 1;
-                                }
-                                records.push(json_record(&reports, chunk, mode, lane_cap, comb));
+                            );
+                            if bad.is_some() {
+                                failures += 1;
                             }
+                            records.push(json_record(&reports, chunk, mode, lane_cap));
                         }
                     }
                 }
@@ -1237,30 +1163,6 @@ mod tests {
         assert!(Args::parse(&argv(&["--chaos", "seed=x"])).is_err());
         assert!(Args::parse(&argv(&["--chaos", "seven"])).is_err());
         assert!(Args::parse(&argv(&["--chaos"])).is_err());
-    }
-
-    #[test]
-    fn combining_axis_parses_and_guards() {
-        // Default: combiner on only.
-        let args = Args::parse(&argv(&[])).unwrap().unwrap();
-        assert_eq!(args.combining, vec![true]);
-        // Both spellings of the A/B.
-        let args = Args::parse(&argv(&["--combining", "on,off"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.combining, vec![true, false]);
-        let args = Args::parse(&argv(&["--combining", "false"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(args.combining, vec![false]);
-        // Junk values and empty lists are usage errors.
-        assert!(Args::parse(&argv(&["--combining", "maybe"])).is_err());
-        assert!(Args::parse(&argv(&["--combining", ""])).is_err());
-        // combining-off without the structural kind is a usage error —
-        // the toggle would affect nothing.
-        let err =
-            Args::parse(&argv(&["--combining", "off", "--kinds", "work_stealing"])).unwrap_err();
-        assert!(err.contains("structural"), "{err}");
     }
 
     #[test]

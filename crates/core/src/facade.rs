@@ -178,9 +178,9 @@ impl PoolKind {
                 AnyPool::Centralized(Arc::new(CentralizedKPriority::new(places, params.kmax)))
             }
             PoolKind::Hybrid => AnyPool::Hybrid(Arc::new(HybridKPriority::new(places))),
-            PoolKind::Structural => AnyPool::Structural(Arc::new(
-                StructuralKPriority::with_combining(places, params.k, params.combine),
-            )),
+            PoolKind::Structural => {
+                AnyPool::Structural(Arc::new(StructuralKPriority::new(places, params.k)))
+            }
             PoolKind::MultiQueue => {
                 AnyPool::MultiQueue(Arc::new(RelaxedMultiQueue::from_params(places, &params)))
             }
@@ -219,13 +219,9 @@ where
         PoolKind::Hybrid => Scheduler::from_pool(HybridKPriority::new(places))
             .with_fault_policy(policy)
             .run(executor, roots),
-        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::with_combining(
-            places,
-            params.k,
-            params.combine,
-        ))
-        .with_fault_policy(policy)
-        .run(executor, roots),
+        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::new(places, params.k))
+            .with_fault_policy(policy)
+            .run(executor, roots),
         PoolKind::MultiQueue => {
             Scheduler::from_pool(RelaxedMultiQueue::from_params(places, &params))
                 .with_fault_policy(policy)
@@ -266,13 +262,9 @@ where
         PoolKind::Hybrid => Scheduler::from_pool(HybridKPriority::new(places))
             .with_fault_policy(policy)
             .run_stream(executor, roots, ingress),
-        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::with_combining(
-            places,
-            params.k,
-            params.combine,
-        ))
-        .with_fault_policy(policy)
-        .run_stream(executor, roots, ingress),
+        PoolKind::Structural => Scheduler::from_pool(StructuralKPriority::new(places, params.k))
+            .with_fault_policy(policy)
+            .run_stream(executor, roots, ingress),
         PoolKind::MultiQueue => {
             Scheduler::from_pool(RelaxedMultiQueue::from_params(places, &params))
                 .with_fault_policy(policy)
@@ -350,14 +342,6 @@ impl PoolBuilder {
     /// [`PoolBuilder::run_stream`], and [`PoolBuilder::service`].
     pub fn fault_policy(mut self, policy: crate::FaultPolicy) -> Self {
         self.params.fault_policy = policy;
-        self
-    }
-
-    /// Toggles flat-combining delegation of the structural pool's shared
-    /// queue (default on; see [`PoolParams::combine`]). Other kinds ignore
-    /// it.
-    pub fn combining(mut self, combine: bool) -> Self {
-        self.params.combine = combine;
         self
     }
 
@@ -539,20 +523,6 @@ mod tests {
         // .lane_capacity() composes with the other knobs.
         let b = PoolBuilder::new(PoolKind::Hybrid).k(8).lane_capacity(32);
         assert_eq!(b.pool_params().lane_capacity, Some(32));
-    }
-
-    #[test]
-    fn builder_combining_toggle_reaches_the_structural_pool() {
-        for (toggle, want) in [(true, true), (false, false)] {
-            let pool: Arc<AnyPool<u64>> = PoolBuilder::new(PoolKind::Structural)
-                .places(2)
-                .combining(toggle)
-                .build();
-            match &*pool {
-                AnyPool::Structural(p) => assert_eq!(p.combining(), want),
-                other => panic!("expected structural, got {:?}", other.kind()),
-            }
-        }
     }
 
     #[test]

@@ -209,10 +209,9 @@
 //! # Delegation combining
 //!
 //! The structural pool's shared queue — one heap crossed by every
-//! overflow push, shared pop, and raid — is, by default, accessed through
-//! the flat-combining layer in [`combine`] rather than a plain mutex
-//! (toggle: [`PoolParams::combine`] / [`PoolBuilder::combining`]; the
-//! mutex path stays selectable for A/B). The protocol:
+//! overflow push, shared pop, and raid — is accessed through the
+//! flat-combining layer in [`combine`] rather than a plain mutex. The
+//! protocol:
 //!
 //! * each place owns one cache-padded **publication record** (op cell +
 //!   response cell + `EMPTY → PUBLISHED → DONE` state word + a
@@ -322,7 +321,7 @@
 //! | The item free list's versioned head defeats ABA on multi-node pops ([`item`], §4.1.3/§4.2.3 tag discipline) | `models::free_list_no_aba_double_pop` |
 //! | The MultiQueue's exhaustive scan finds a present item once the pool is quiescent — the property worker parking rests on ([`multiqueue`] top-caching docs) | `models::multiqueue_scan_finds_present_item` |
 //! | The quiescence read order (producers → queued → pending) never shows "quiescent" while a task is charged to neither counter ([`ingest`]) | `models::ingress_counters_never_hide_a_task` |
-//! | The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
+//! | The structural pop's double-lock window (bound snapshot → release → shared query → re-take) hands a raided task to exactly one thread, with both sides' shared-queue ops delegated through the combiner ([`structural`]) | `models::structural_pop_vs_raid_exactly_once` |
 //! | A join waiter is woken by the lane drain's `queued` decrement when another place already ran (and counted down) the drained tasks — the drain, not the pending → 0 event, completes `queued == 0 && pending == 0` ([`ingest`] wake-event table) | `models::join_wakes_when_sibling_finishes_drained_task` |
 //!
 //! Two **mutation self-checks** validate the checker itself: building with

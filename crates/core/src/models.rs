@@ -426,9 +426,10 @@ pub fn join_wakes_when_sibling_finishes_drained_task() {
 /// counter; duplicating it would double-execute.
 pub fn structural_pop_vs_raid_exactly_once() {
     loom::model(|| {
-        // Two places, k = 2, mutex-backed shared queue (the combiner
-        // handoff has its own model above).
-        let sp = Arc::new(StructuralKPriority::<u64>::with_combining(2, 2, false));
+        // Two places, k = 2. Both the bounded pop and the raid's meld go
+        // through the combiner, so this also explores a raid delegated
+        // while the owner's shared-queue pop is published or combining.
+        let sp = Arc::new(StructuralKPriority::<u64>::new(2, 2));
         let mut owner = sp.handle(0);
         owner.push(5, 0, 50); // lands in place 0's local buffer
 

@@ -45,7 +45,7 @@ pub struct PlaceStats {
     /// Global-array/global-list entries ingested into the local queue.
     pub ingested: u64,
     /// Flat-combining passes this place ran that served at least one
-    /// delegated op (structural, combining on).
+    /// delegated op (structural pool only).
     pub combine_passes: u64,
     /// Shared-queue ops this place executed while holding the combiner
     /// lock — its own plus delegated ones. `combine_ops / combine_passes`

@@ -11,7 +11,10 @@
 //!    a strictly better one is live, the ignored task is among the last k
 //!    tasks pushed (§2.2: "a pop operation is allowed to ignore the last k
 //!    items added to the data structure");
-//! 3. **single-place strictness** — with one place, pops come out in exact
+//! 3. **ρ-relaxation (structural)** — a pop ignores at most ρ = (P−1)·k
+//!    strictly better live tasks, however old they are (§5.3's structural
+//!    formulation);
+//! 4. **single-place strictness** — with one place, pops come out in exact
 //!    priority order for every structure.
 
 use priosched_core::hybrid::HSEGMENT_LEN;
@@ -72,6 +75,12 @@ fn centralized_k() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1), Just(4), Just(CENTRALIZED_KMAX as usize)]
 }
 
+/// Structural per-place buffer bounds: no buffering (exact), one task,
+/// and two buffers that fill and overflow within a tape.
+fn structural_k() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0), Just(1), Just(4), Just(16)]
+}
+
 /// A live entry: payload, global push sequence, pushing place, and the
 /// pushing place's local sequence at push time.
 #[derive(Clone, Copy, Debug)]
@@ -123,7 +132,7 @@ impl Model {
     }
 }
 
-/// Which pushes count against an ignored task's relaxation budget.
+/// Which relaxation bound a pop is checked against.
 #[derive(Clone, Copy, Debug)]
 enum RelaxationScope {
     /// Centralized: "the last k items added to the data structure" —
@@ -132,10 +141,13 @@ enum RelaxationScope {
     /// Hybrid: "the last k items added by each thread" — later pushes
     /// counted per pushing place.
     PerPlace,
+    /// Structural (§5.3): at most ρ strictly better live tasks ignored,
+    /// whatever their age.
+    Structural,
 }
 
-/// Runs ops on a pool; checks conservation, and, when `relaxation_k` is
-/// given, the global temporal relaxation bound.
+/// Runs ops on a pool; checks conservation, and, when `relaxation` is
+/// given, the relaxation bound of that scope.
 fn run_model_check<P: TaskPool<u64>>(
     pool: Arc<P>,
     ops: &[Op],
@@ -159,20 +171,29 @@ fn run_model_check<P: TaskPool<u64>>(
         let prio = *prio_of.get(&payload).expect("popped task was never pushed");
         let better = model.better_than(prio);
         model.remove(prio, payload);
-        if let Some((scope, k)) = relaxation {
-            for b in better {
-                // Pushes after the ignored task, in the scope the
-                // structure's guarantee speaks about.
-                let after = match scope {
-                    RelaxationScope::Global => model.pushes - 1 - b.global_seq,
-                    RelaxationScope::PerPlace => model.place_pushes[b.place] - 1 - b.local_seq,
-                };
-                prop_assert!(
-                    after <= k,
-                    "pop ignored task {} with {after} later pushes \
-                     ({scope:?} scope, allowed: {k})",
-                    b.payload
-                );
+        match relaxation {
+            None => {}
+            Some((RelaxationScope::Structural, rho)) => prop_assert!(
+                better.len() as u64 <= rho,
+                "pop ignored {} better tasks, allowed {rho}",
+                better.len()
+            ),
+            Some((scope, k)) => {
+                for b in better {
+                    // Pushes after the ignored task, in the scope the
+                    // structure's guarantee speaks about.
+                    let after = match scope {
+                        RelaxationScope::Global => model.pushes - 1 - b.global_seq,
+                        RelaxationScope::PerPlace => model.place_pushes[b.place] - 1 - b.local_seq,
+                        RelaxationScope::Structural => unreachable!("age-free scope"),
+                    };
+                    prop_assert!(
+                        after <= k,
+                        "pop ignored task {} with {after} later pushes \
+                         ({scope:?} scope, allowed: {k})",
+                        b.payload
+                    );
+                }
             }
         }
         Ok(())
@@ -305,6 +326,19 @@ proptest! {
             &ops,
             k,
             Some((RelaxationScope::PerPlace, k as u64)),
+        )?;
+    }
+
+    /// §5.3's structural bound: with P = 2 a pop may ignore only the
+    /// other place's buffer, so ρ = (P−1)·k = k — and an ignored task may
+    /// be arbitrarily old. Covers scalar and batched pops and raids.
+    #[test]
+    fn structural_relaxation_oracle(ops in ops_strategy(200), k in structural_k()) {
+        run_model_check(
+            Arc::new(StructuralKPriority::new(2, k)),
+            &ops,
+            k,
+            Some((RelaxationScope::Structural, k as u64)),
         )?;
     }
 

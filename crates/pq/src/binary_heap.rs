@@ -247,6 +247,16 @@ unsafe fn sift_root_to_bottom<T: Ord>(data: &mut [T]) {
     hole.fill();
 }
 
+/// Bulk-insertion repair policy: `true` when Floyd's O(n) heapify beats
+/// sifting up each of the `added` elements individually (O(added · log n)).
+/// The crossover is approximated as `added ≥ n / log₂(n)`; an empty
+/// original heap always rebuilds.
+fn bulk_repair_prefers_heapify(old: usize, added: usize, n: usize) -> bool {
+    debug_assert_eq!(old + added, n);
+    let log_n = (usize::BITS - n.leading_zeros()).max(1) as usize;
+    old == 0 || added >= n / log_n
+}
+
 /// Truncates `data` to `len` unless forgotten: drops, exactly once, the
 /// elements an interrupted operation could not place validly.
 struct TruncateOnUnwind<'a, T> {
@@ -456,7 +466,7 @@ impl<T: Ord> SequentialPriorityQueue<T> for BinaryHeap<T> {
     /// Appends the batch to the backing array, then chooses the cheaper
     /// repair: per-element sift-up costs O(m log n) and touches only the
     /// insertion paths, Floyd's heapify costs O(n) regardless of m (the
-    /// crossover lives in [`crate::bulk_repair_prefers_heapify`]); both
+    /// crossover lives in [`bulk_repair_prefers_heapify`]); both
     /// repairs produce a valid heap over the same multiset.
     fn extend_batch<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         let old = self.data.len();
@@ -465,7 +475,7 @@ impl<T: Ord> SequentialPriorityQueue<T> for BinaryHeap<T> {
         if n == old {
             return;
         }
-        if crate::bulk_repair_prefers_heapify(old, n - old, n) {
+        if bulk_repair_prefers_heapify(old, n - old, n) {
             self.heapify();
             return;
         }

@@ -7,16 +7,13 @@
 //! that "any sequential implementation of a priority queue can be used, since
 //! each priority queue is only accessed in the context of a single place".
 //!
-//! This crate provides two such implementations behind a common trait:
+//! This crate provides one such implementation, [`BinaryHeap`], an
+//! array-backed binary min-heap with a hole-based sift kernel, behind the
+//! [`SequentialPriorityQueue`] trait. Every pool in the workspace uses it.
 //!
-//! * [`BinaryHeap`] — array-backed binary min-heap; the default everywhere.
-//! * [`PairingHeap`] — pointer-based pairing heap with two-pass melding;
-//!   useful as an independent implementation for differential testing and as
-//!   a better fit for workloads with heavy `meld`/bulk insertion.
-//!
-//! Both are **min**-queues: `pop` returns the smallest element, matching the
-//! paper's convention for the SSSP evaluation ("priority, smaller is
-//! better" in Listing 5).
+//! The heap is a **min**-queue: `pop` returns the smallest element,
+//! matching the paper's convention for the SSSP evaluation ("priority,
+//! smaller is better" in Listing 5).
 //!
 //! Beyond the textbook operations, the trait carries two operations the
 //! scheduler needs:
@@ -30,24 +27,8 @@
 //!   §5.1.
 
 pub mod binary_heap;
-pub mod dary_heap;
-pub mod pairing_heap;
-
-/// Shared bulk-insertion repair policy for the array-backed heaps:
-/// `true` when Floyd's O(n) heapify beats sifting up each of the `added`
-/// elements individually (O(added · log n)). The crossover is
-/// approximated as `added ≥ n / log₂(n)`; an empty original heap always
-/// rebuilds. Kept in one place so the binary and d-ary heaps cannot
-/// silently diverge on the policy.
-pub(crate) fn bulk_repair_prefers_heapify(old: usize, added: usize, n: usize) -> bool {
-    debug_assert_eq!(old + added, n);
-    let log_n = (usize::BITS - n.leading_zeros()).max(1) as usize;
-    old == 0 || added >= n / log_n
-}
 
 pub use binary_heap::BinaryHeap;
-pub use dary_heap::{DaryHeap, QuaternaryHeap};
-pub use pairing_heap::PairingHeap;
 
 /// A sequential min-priority queue.
 ///
@@ -98,10 +79,9 @@ pub trait SequentialPriorityQueue<T: Ord>: Default {
     /// Inserts every element of `iter`, repairing the queue invariant once
     /// per batch instead of once per element.
     ///
-    /// This is the sequential half of the scheduler's batch API: array
-    /// heaps repair with Floyd's O(n) heapify (or per-element sift-up when
-    /// the batch is small relative to the heap), and the pairing heap melds
-    /// the batch in with a two-pass pairing combine. The default
+    /// This is the sequential half of the scheduler's batch API: the
+    /// binary heap repairs with Floyd's O(n) heapify (or per-element
+    /// sift-up when the batch is small relative to the heap). The default
     /// implementation falls back to per-element `push`.
     ///
     /// Equivalent to `for x in iter { self.push(x) }` up to internal
@@ -155,17 +135,5 @@ mod trait_tests {
     fn binary_heap_basics() {
         exercise::<BinaryHeap<i64>>();
         exercise_extend_batch::<BinaryHeap<i64>>();
-    }
-
-    #[test]
-    fn pairing_heap_basics() {
-        exercise::<PairingHeap<i64>>();
-        exercise_extend_batch::<PairingHeap<i64>>();
-    }
-
-    #[test]
-    fn dary_heap_basics() {
-        exercise::<QuaternaryHeap<i64>>();
-        exercise_extend_batch::<QuaternaryHeap<i64>>();
     }
 }

@@ -1,11 +1,12 @@
-//! Property-based tests for the sequential priority queues.
+//! Property-based tests for the sequential priority queue.
 //!
-//! Both implementations are model-checked against `std::collections::BinaryHeap`
-//! (wrapped as a min-heap) over arbitrary operation sequences, and the
-//! scheduler-facing extras (`split_half`, `retain`, `append`) are checked for
-//! multiset preservation and invariant maintenance.
+//! [`BinaryHeap`] is model-checked against `std::collections::BinaryHeap`
+//! (wrapped as a min-heap) and against a sorted `Vec` over arbitrary
+//! operation sequences, and the scheduler-facing extras (`split_half`,
+//! `retain`, `append`, `extend_batch`) are checked for multiset
+//! preservation and invariant maintenance.
 
-use priosched_pq::{BinaryHeap, PairingHeap, SequentialPriorityQueue};
+use priosched_pq::{BinaryHeap, SequentialPriorityQueue};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 
@@ -126,11 +127,6 @@ proptest! {
     #[test]
     fn binary_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
         run_ops::<BinaryHeap<i32>>(&ops);
-    }
-
-    #[test]
-    fn pairing_heap_matches_model(ops in proptest::collection::vec(op_strategy(), 0..120)) {
-        run_ops::<PairingHeap<i32>>(&ops);
     }
 
     /// `replace_top` ≡ "pop the minimum, then push" against a sorted-`Vec`
@@ -265,36 +261,10 @@ proptest! {
         expect.sort();
         prop_assert_eq!(all, expect);
     }
-
-    #[test]
-    fn pairing_split_half_preserves_multiset(items in proptest::collection::vec(any::<i32>(), 0..200)) {
-        let mut h: PairingHeap<i32> = items.iter().copied().collect();
-        let mut stolen = h.split_half();
-        let mut all = h.drain_unordered();
-        all.extend(stolen.drain_unordered());
-        all.sort();
-        let mut expect = items.clone();
-        expect.sort();
-        prop_assert_eq!(all, expect);
-    }
-
-    #[test]
-    fn heaps_agree_with_each_other(items in proptest::collection::vec(any::<i32>(), 0..200)) {
-        let mut a: BinaryHeap<i32> = items.iter().copied().collect();
-        let mut b: PairingHeap<i32> = items.iter().copied().collect();
-        loop {
-            let (x, y) = (a.pop(), b.pop());
-            prop_assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
-    }
 }
 
 mod batch {
     use super::*;
-    use priosched_pq::DaryHeap;
 
     fn batch_equals_scalar<Q: SequentialPriorityQueue<i32>>(
         init: &[i32],
@@ -326,17 +296,13 @@ mod batch {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// `extend_batch` followed by a full drain is indistinguishable
-        /// from the same elements pushed one at a time, in every
-        /// sequential queue implementation.
+        /// from the same elements pushed one at a time.
         #[test]
         fn extend_batch_equals_scalar_pushes(
             init in proptest::collection::vec(any::<i32>(), 0..120),
             batch in proptest::collection::vec(any::<i32>(), 0..120),
         ) {
             batch_equals_scalar::<BinaryHeap<i32>>(&init, &batch)?;
-            batch_equals_scalar::<PairingHeap<i32>>(&init, &batch)?;
-            batch_equals_scalar::<DaryHeap<i32, 4>>(&init, &batch)?;
-            batch_equals_scalar::<DaryHeap<i32, 8>>(&init, &batch)?;
         }
 
         /// The structural invariant survives `extend_batch` at every batch
@@ -349,50 +315,7 @@ mod batch {
             let mut bin: BinaryHeap<i32> = init.iter().copied().collect();
             bin.extend_batch(batch.iter().copied());
             prop_assert!(bin.is_valid_heap());
-
-            let mut dary: DaryHeap<i32, 4> = init.iter().copied().collect();
-            dary.extend_batch(batch.iter().copied());
-            prop_assert!(dary.is_valid_heap());
-
-            let mut pairing: PairingHeap<i32> = init.iter().copied().collect();
-            pairing.extend_batch(batch.iter().copied());
-            prop_assert!(pairing.is_valid_heap());
-            prop_assert_eq!(pairing.len(), init.len() + batch.len());
-        }
-    }
-}
-
-mod dary {
-    use super::*;
-    use priosched_pq::DaryHeap;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn dary4_matches_model(ops in proptest::collection::vec(super::op_strategy(), 0..120)) {
-            run_ops::<DaryHeap<i32, 4>>(&ops);
-        }
-
-        #[test]
-        fn dary8_matches_model(ops in proptest::collection::vec(super::op_strategy(), 0..120)) {
-            run_ops::<DaryHeap<i32, 8>>(&ops);
-        }
-
-        #[test]
-        fn dary_invariant_holds(items in proptest::collection::vec(any::<i32>(), 0..200)) {
-            let mut h: DaryHeap<i32, 4> = DaryHeap::new();
-            for x in &items {
-                h.push(*x);
-                prop_assert!(h.is_valid_heap());
-            }
-            let mut prev = None;
-            while let Some(x) = h.pop() {
-                if let Some(p) = prev {
-                    prop_assert!(p <= x);
-                }
-                prev = Some(x);
-            }
+            prop_assert_eq!(bin.len(), init.len() + batch.len());
         }
     }
 }
